@@ -22,7 +22,9 @@ DistSpmm15d::DistSpmm15d(Comm& comm, const CsrMatrix& a,
       grid_col_(layout_.grid_col(comm.rank())),
       mode_(mode),
       local_(a, ranges, grid_row_, kernels),
-      col_comm_(comm.split([this](int r) { return layout_.grid_col(r); })),
+      col_comm_(layout_.s == 1
+                    ? comm
+                    : comm.split([this](int r) { return layout_.grid_col(r); })),
       row_comm_(comm.split([this](int r) { return layout_.grid_row(r); })) {
   SAGNN_REQUIRE(static_cast<int>(ranges.size()) == layout_.rows,
                 "1.5D needs one block row per grid row");

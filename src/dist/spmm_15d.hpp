@@ -10,8 +10,18 @@
 // shrinks with c while the (dense) partial-sum all-reduce grows — the 1.5D
 // tradeoff the paper evaluates in Figure 7.
 //
-//   kOblivious:      whole H blocks broadcast within the grid column.
-//   kSparsityAware:  only NnzCols rows exchanged, as in the 1D algorithm.
+// At c = 1 this IS the 1D algorithm (§4.1, Algorithm 1): every rank owns
+// one block row outright, exchanges on the constructing communicator
+// itself, and never all-reduces.
+//
+//   kOblivious:      whole H blocks broadcast within the grid column
+//                    (CAGNET), so the moved bytes depend only on the
+//                    matrix SHAPE.
+//   kSparsityAware:  only the H rows the remote blocks read (NnzCols) are
+//                    exchanged, via one all-to-all per multiply. The
+//                    needed-row index lists are exchanged ONCE at
+//                    construction (phase "index_exchange", which the
+//                    trainer excludes from per-epoch cost).
 
 #include "dense/matrix.hpp"
 #include "dist/dist_csr.hpp"
@@ -36,8 +46,10 @@ struct GridLayout {
 class DistSpmm15d {
  public:
   /// Collective over `comm` (all ranks construct together). `ranges` must
-  /// have exactly P/c entries. Subcommunicators are split here and kept by
-  /// value, so the object stays usable after the constructing call frame.
+  /// have exactly P/c entries. Communicators are split (or, at c = 1,
+  /// copied) here and kept by value, so the object stays usable after the
+  /// constructing call frame. `kernels` selects the local SpMM storage
+  /// format (bitwise-neutral; see sparse/sell.hpp).
   DistSpmm15d(Comm& comm, const CsrMatrix& a, std::span<const BlockRange> ranges,
               int c, SpmmMode mode, const KernelConfig& kernels = {});
 
@@ -53,23 +65,28 @@ class DistSpmm15d {
   Matrix multiply(const Matrix& h_local, double* cpu_seconds = nullptr);
 
   /// Chunked-pipelining multiply (sparsity-aware mode only): H is split
-  /// into `chunks` column chunks; the grid-column exchange of chunk k+1 is
-  /// POSTED (ialltoallv) before chunk k is waited for and computed, exactly
-  /// as DistSpmm1d::multiply_pipelined pipelines the 1D exchange (depth-2
-  /// double buffering with measured hidden/blocked wall-clock). The grid-row
-  /// partial-sum all-reduce stays one full-width collective AFTER the last
-  /// chunk — splitting it per chunk would reorder each element's
-  /// cross-replica additions (the ring schedule assigns chunks by buffer
-  /// offset) and break bitwise parity with multiply().
+  /// into `chunks` column chunks (clamped to the feature width); the
+  /// grid-column exchange of chunk k+1 is POSTED (ialltoallv: eager isends
+  /// + pending irecvs) before chunk k is waited for and computed — a
+  /// genuine double-buffered (depth-2) pipeline whose wait() records the
+  /// measured hidden/blocked wall-clock split (see
+  /// EpochCost::measured_overlap_fraction()). Numerically identical to
+  /// multiply(): each output element accumulates its neighbors in the
+  /// same order, columns are independent. The grid-row partial-sum
+  /// all-reduce stays one full-width collective AFTER the last chunk —
+  /// splitting it per chunk would reorder each element's cross-replica
+  /// additions (the ring schedule assigns chunks by buffer offset) and
+  /// break bitwise parity with multiply().
   ///
-  /// `stage_counter`, when non-null, is the epoch-wide pipeline-stage
-  /// cursor of a cross-layer schedule: chunk k's traffic is recorded under
-  /// stage *stage_counter + k, the trailing all-reduce under the next
-  /// stage, and the counter advances past them — so the first exchange of
-  /// the NEXT propagate occupies the pipeline slot right after this one's
-  /// last SpMM chunk (cross-layer latency hiding). A null counter records
-  /// untagged bulk-synchronous phases; with chunks == 1 that is exactly
-  /// multiply(), which delegates here.
+  /// `stage_counter`, when non-null, is the pipeline-stage cursor: chunk
+  /// k's traffic is recorded under stage *stage_counter + k ("alltoall#s"),
+  /// the trailing all-reduce under the next stage, and the counter
+  /// advances past them. A cursor shared across propagates is the
+  /// cross-layer schedule — the first exchange of the NEXT propagate
+  /// occupies the pipeline slot right after this one's last SpMM chunk; a
+  /// fresh cursor per call is the per-propagate schedule. A null counter
+  /// records untagged bulk-synchronous phases; with chunks == 1 that is
+  /// exactly multiply(), which delegates here.
   Matrix multiply_pipelined(const Matrix& h_local, int chunks,
                             int* stage_counter, double* cpu_seconds = nullptr);
 
@@ -81,7 +98,10 @@ class DistSpmm15d {
   int grid_col_ = 0;
   SpmmMode mode_;
   DistCsr local_;
-  Comm col_comm_;  ///< same grid column; comm rank == grid row
+  /// Same grid column; comm rank == grid row. At c = 1 a copy of the
+  /// constructing communicator itself: its id stamps the 1D algorithm's
+  /// tags, which the seeded lossy-link drops hash (FaultPlan).
+  Comm col_comm_;
   Comm row_comm_;  ///< same grid row (the c replicas); comm rank == grid col
   /// requests_[i]: local rows of MY block that grid row i's replica in my
   /// column reads (sparsity-aware only).

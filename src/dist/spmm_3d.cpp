@@ -6,9 +6,9 @@
 namespace sagnn {
 
 namespace {
-/// User tag for the within-layer transpose exchange (distinct from the 2D
-/// scheme's 2001; must stay below kUserTagLimit).
-constexpr long kTransposeTag = 2002;
+/// User tag for the within-layer transpose exchange (must stay below
+/// kUserTagLimit).
+constexpr long kTransposeTag = 2001;
 }  // namespace
 
 CubeGrid CubeGrid::make(int p, int d) {
@@ -69,7 +69,10 @@ Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
   ThreadCpuTimer timer;
   Matrix z(output_range_.size(), w);
   if (w > 0) {
-    const Matrix x = h_local.slice_cols(begin, end);
+    // At d = 1 the slice is the whole input: read it in place.
+    Matrix sliced;
+    if (grid_.d > 1) sliced = h_local.slice_cols(begin, end);
+    const Matrix& x = grid_.d > 1 ? sliced : h_local;
     if (mode_ == SpmmMode::kSparsityAware) {
       if (compacted_.matrix.nnz() > 0) {
         const Matrix packed = x.gather_rows(compacted_.cols);
@@ -89,14 +92,14 @@ Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
   }
   if (cpu_seconds != nullptr) *cpu_seconds += timer.seconds();
 
-  // Partial-sum all-reduce across the layer's grid row (the 2D scheme's
-  // dominant phase, shrunk to the 1/d slice).
+  // Partial-sum all-reduce across the layer's grid row (the dominant
+  // phase; at d > 1 it moves only the 1/d slice).
   if (grid_.q > 1 && w > 0) {
     allreduce_sum<real_t>(row_comm_, {z.data(), z.size()}, "allreduce");
   }
 
   // Transpose remap within the layer: Z residency (grid row) back to H
-  // residency (grid column), as in 2D.
+  // residency (grid column).
   Matrix h_slice;
   const int partner = grid_.rank_of(layer_, grid_col_, grid_row_);
   if (partner == world_.rank()) {

@@ -1,20 +1,28 @@
 #pragma once
-// Communication-avoiding 3D SpMM: d stacked q x q 2D grids split the
-// FEATURE dimension (P = q^2 * d). Layer l runs the 2D scheme of
-// dist/spmm_2d.hpp on feature columns [f*l/d, f*(l+1)/d): rank (l, i, j)
-// owns tile Â_{ij} and the H block j, multiplies its tile against its
+// Distributed tile SpMM: d stacked q x q grids split the FEATURE dimension
+// (P = q^2 * d). At d = 1 this is the 2D (SUMMA-style) scheme of CAGNET;
+// at d > 1 the communication-avoiding 3D scheme.
+//
+// Layer l works on feature columns [f*l/d, f*(l+1)/d): rank (l, i, j) owns
+// tile Â_{ij} (rows of block i, columns of block j) and the H block j (H
+// residency follows the grid COLUMN). It multiplies its tile against its
 // layer's column slice, all-reduces the partial across the layer's grid
-// row, transposes back to H residency within the layer, and finally
+// row (leaving Z_i on every rank of row i: Z residency follows the grid
+// ROW), transposes back to H residency within the layer, and finally
 // all-gathers the d slices across the depth fiber (the d ranks sharing
 // (i, j)) so every rank again holds the full-width block — which is what
-// the next GCN layer consumes. d = 1 degenerates exactly to the 2D scheme.
+// the next GCN layer consumes.
 //
-// Communication per propagate, against 2D at the same q: the dense
-// partial-sum all-reduce and the transpose shrink by d (they move a 1/d
-// feature slice), at the price of a depth all-gather moving (d-1)/d of the
-// full width — the classic CA trade (more memory/ranks for less reduced
-// volume). For GNN-shaped f (narrow features) the latency of the extra
-// fiber ring dominates quickly; the planner quantifies exactly where.
+// The Z all-reduce moves dense blocks whose size is independent of the
+// graph's sparsity — the structural reason CAGNET (and the paper) prefer
+// 1D/1.5D for GNN training. kSparsityAware here only compacts the local
+// working set (the kernel reads packed rows); it cannot shrink the wire
+// volume. Against d = 1 at the same q, the all-reduce and the transpose
+// shrink by d (they move a 1/d feature slice), at the price of a depth
+// all-gather moving (d-1)/d of the full width — the classic CA trade (more
+// memory/ranks for less reduced volume). For GNN-shaped f (narrow
+// features) the latency of the extra fiber ring dominates quickly; the
+// planner quantifies exactly where.
 
 #include "dense/matrix.hpp"
 #include "dist/dist_csr.hpp"
@@ -67,7 +75,8 @@ class DistSpmm3d {
 
   /// One full aggregation Â·H, input and output in H residency at full
   /// feature width: slice, partial tile SpMM, layer-row all-reduce,
-  /// transpose remap, depth all-gather.
+  /// transpose remap, depth all-gather (the slice and the all-gather only
+  /// when d > 1).
   Matrix propagate(const Matrix& h_local, double* cpu_seconds = nullptr);
 
  private:

@@ -2,14 +2,15 @@
 // The distribution-strategy seam of distributed training.
 //
 // A DistributionStrategy encapsulates everything that differs between the
-// paper's communication schemes (1D/1.5D/2D x oblivious/sparsity-aware):
+// paper's communication schemes (1D/1.5D/2D/3D x oblivious/sparsity-aware):
 // the process geometry, the per-rank communicators and distributed-matrix
 // state, the collective schedule of one aggregation Â·X in forward and
 // backward direction, and the algorithm-specific part of the modeled
 // epoch cost. The DistributedTrainer is written once against this
-// interface; concrete strategies live in src/gnn/strategies/ and
-// self-register with strategy_registry() under CLI-friendly names, so new
-// schemes plug in without touching the trainer or any driver.
+// interface. The concrete strategies are two parameterized families in
+// src/gnn/strategies/families.cpp; each CLI-friendly registry name binds
+// one parameter set, so new schemes plug in without touching the trainer
+// or any driver.
 //
 // Lifecycle: a strategy object is created per rank (plus one job-level
 // instance for geometry/cost queries). setup() binds it to a rank inside
@@ -34,7 +35,7 @@ namespace sagnn {
 /// partitioned and symmetrically permuted) adjacency and its block rows.
 struct StrategyContext {
   int p = 1;  ///< simulated GPU count
-  int c = 1;  ///< replication factor (1.5D family; others ignore it)
+  int c = 1;  ///< 1.5D replication factor / 3D depth; 1D and 2D ignore it
   const CsrMatrix* adjacency = nullptr;
   std::span<const BlockRange> ranges;
   /// Column-chunk count for pipelined strategies ("1d-overlap",
@@ -211,10 +212,6 @@ class DistributionStrategy {
   /// valid = false (never throw) on invalid geometry.
   virtual PredictedCost predict_cost(const PredictInput& in) const;
 };
-
-/// rank_work() of any strategy whose rank r owns block row r outright
-/// (the 1D family): each rank's share is its block's nnz.
-std::vector<double> block_row_nnz_work(const StrategyContext& ctx);
 
 using StrategyRegistry = NamedRegistry<DistributionStrategy>;
 

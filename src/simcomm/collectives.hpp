@@ -38,8 +38,8 @@ inline constexpr long kAllgatherTag = 4L << 20;
 inline constexpr long kAlltoallTag = 5L << 20;
 inline constexpr long kGatherTag = 6L << 20;
 
-/// Tag base for pipeline stage `stage` of a chunked alltoallv chain (the
-/// 1D and 1.5D pipelined SpMMs share this arithmetic): distinct windows
+/// Tag base for pipeline stage `stage` of a chunked alltoallv chain
+/// (DistSpmm15d::multiply_pipelined, at every c): distinct windows
 /// for up to 127 in-flight stages, each leaving room for p step offsets
 /// inside the 1<<20 window between collective tag bases
 /// (127 * 8192 + p < 1<<20). Stages beyond 127 reuse a base, which stays

@@ -113,6 +113,13 @@ struct DistCase {
   int threads;
 };
 
+// Prints the case into its ctest name (the default would dump the struct's
+// bytes, pointers and padding included, which differ between runs).
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << c.strategy << " p=" << c.p << " c=" << c.c << " " << c.partitioner
+      << " threads=" << c.threads;
+}
+
 class CkptDistributedRoundTrip : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(CkptDistributedRoundTrip, ResumeIsBitIdentical) {

@@ -3,6 +3,7 @@
 // grid-row all-reduce is never inflated), epoch-wide stage tags that
 // continue across propagate calls (cross-layer latency hiding), and
 // per-stage payloads that reassemble the non-overlapped totals exactly.
+// The Spmm1dPipelined suite runs the same multiply at c = 1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "simcomm/cluster.hpp"
+#include "sparse/spmm.hpp"
 
 namespace sagnn {
 namespace {
@@ -160,6 +162,93 @@ TEST(Spmm15dPipelined, StagePayloadsReassembleBulkTotalsExactly) {
   EXPECT_EQ(one.traffic.phase(TrafficRecorder::stage_phase("alltoall", 0))
                 .total_bytes(),
             four_stage_bytes);
+}
+
+// c = 1: the 1D exchange, pipelined one propagate at a time. run_15d
+// gives each multiply a fresh stage cursor, as "1d-overlap" does.
+
+TEST(Spmm1dPipelined, MatchesBulkMultiplyBitwise) {
+  // Column chunking never reorders any output element's accumulation, so
+  // the pipelined product is bit-identical to the bulk sparsity-aware one
+  // for every chunk count — including counts above the feature width.
+  Rng rng(21);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(64, 400, rng));
+  const Matrix h = Matrix::random_uniform(64, 8, rng);
+  const auto bulk = run_15d(a, h, 4, 1, /*chunks=*/-1);
+  for (int chunks : {1, 2, 3, 8, 100}) {
+    const auto pipe = run_15d(a, h, 4, 1, chunks);
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(pipe.replicas[static_cast<std::size_t>(r)].max_abs_diff(
+                    bulk.replicas[static_cast<std::size_t>(r)]),
+                0.0)
+          << "chunks " << chunks << " rank " << r;
+    }
+  }
+}
+
+TEST(Spmm1dPipelined, StageTaggedTrafficMatchesBulkBytes) {
+  Rng rng(22);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(96, 700, rng));
+  const Matrix h = Matrix::random_uniform(96, 9, rng);
+  const int chunks = 3;
+  const auto bulk = run_15d(a, h, 4, 1, /*chunks=*/-1);
+  const auto pipe = run_15d(a, h, 4, 1, chunks);
+
+  // One tagged stage per chunk; bytes sum to the bulk alltoall exactly
+  // (same rows requested, columns partitioned), messages go up K-fold.
+  EXPECT_EQ(pipe.traffic.stage_count("alltoall"), chunks);
+  EXPECT_EQ(pipe.traffic.phase_total("alltoall").total_bytes(),
+            bulk.traffic.phase("alltoall").total_bytes());
+  EXPECT_EQ(pipe.traffic.phase_total("alltoall").total_msgs(),
+            static_cast<std::uint64_t>(chunks) *
+                bulk.traffic.phase("alltoall").total_msgs());
+  // No stage is empty: 9 columns over 3 chunks moves bytes in every stage.
+  for (int k = 0; k < chunks; ++k) {
+    EXPECT_GT(pipe.traffic.phase(TrafficRecorder::stage_phase("alltoall", k))
+                  .total_bytes(),
+              0u)
+        << "stage " << k;
+  }
+}
+
+TEST(Spmm1dPipelined, HandlesEmptyBlocksAndRepeatedMultiplies) {
+  Rng rng(23);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(30, 150, rng));
+  const std::vector<vid_t> sizes{10, 0, 20};
+  const auto ranges = ranges_from_sizes(sizes);
+  const Matrix h = Matrix::random_uniform(30, 5, rng);
+  Matrix expected = h;
+  for (int iter = 0; iter < 3; ++iter) expected = spmm(a, expected);
+
+  Matrix result(30, 5);
+  Cluster cluster(3);
+  cluster.run([&](Comm& comm) {
+    DistSpmm15d spmm_dist(comm, a, ranges, 1, SpmmMode::kSparsityAware);
+    const BlockRange r = spmm_dist.my_range();
+    Matrix h_local = h.slice_rows(r.begin, r.end);
+    for (int iter = 0; iter < 3; ++iter) {
+      h_local = spmm_dist.multiply_pipelined(h_local, 2, nullptr);
+    }
+    for (vid_t i = 0; i < h_local.n_rows(); ++i) {
+      std::copy(h_local.row(i), h_local.row(i) + 5, result.row(r.begin + i));
+    }
+  });
+  EXPECT_LT(result.max_abs_diff(expected), 1e-3);
+}
+
+TEST(Spmm1dPipelined, RejectsObliviousMode) {
+  Rng rng(24);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(16, 60, rng));
+  const auto ranges = uniform_block_ranges(16, 2);
+  const Matrix h = Matrix::random_uniform(16, 4, rng);
+  Cluster cluster(2);
+  EXPECT_THROW(cluster.run([&](Comm& comm) {
+    DistSpmm15d spmm_dist(comm, a, ranges, 1, SpmmMode::kOblivious);
+    const BlockRange r = spmm_dist.my_range();
+    (void)spmm_dist.multiply_pipelined(h.slice_rows(r.begin, r.end), 2,
+                                       nullptr);
+  }),
+               Error);
 }
 
 // ---- Trainer level: the registered strategy ----

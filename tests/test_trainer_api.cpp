@@ -1,12 +1,11 @@
 // The unified Trainer/TrainerBuilder API: registry resolution and error
 // reporting, polymorphic use of all trainer kinds, epoch-at-a-time
-// stepping vs whole-run training, and the back-compat DistAlgo mapping.
+// stepping vs whole-run training.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 
-#include "gnn/dist_trainer.hpp"
 #include "gnn/distributed_trainer.hpp"
 #include "gnn/sampled_trainer.hpp"
 #include "gnn/serial_trainer.hpp"
@@ -41,14 +40,17 @@ TEST(StrategyRegistry, CanonicalNameRoundTrips) {
 }
 
 TEST(StrategyRegistry, AcceptsHistoricalAliases) {
-  for (DistAlgo algo : {DistAlgo::k1dOblivious, DistAlgo::k1dSparse,
-                        DistAlgo::k15dOblivious, DistAlgo::k15dSparse,
-                        DistAlgo::k2dOblivious, DistAlgo::k2dSparse}) {
-    // Both the registry name and the descriptive to_string() form resolve.
-    EXPECT_EQ(strategy_registry().create(strategy_name(algo))->name(),
-              strategy_name(algo));
-    EXPECT_EQ(strategy_registry().create(to_string(algo))->name(),
-              strategy_name(algo));
+  // An alias only binds parameters: it must build the very strategy its
+  // canonical name builds, which reports the canonical name.
+  for (const char* alias :
+       {"1d-oblivious(cagnet)", "1d-sparsity-aware", "1.5d-sparsity-aware",
+        "2d-oblivious(summa)", "2d-sparsity-aware"}) {
+    EXPECT_TRUE(strategy_registry().contains(alias)) << alias;
+  }
+  for (const auto& name : strategy_registry().names()) {
+    for (const auto& alias : strategy_registry().aliases(name)) {
+      EXPECT_EQ(strategy_registry().create(alias)->name(), name) << alias;
+    }
   }
 }
 
@@ -224,19 +226,6 @@ TEST(Trainer, EveryModeReportsCompletedEpochCount) {
     EXPECT_EQ(trainer->result().epochs_completed(), 1) << trainer->name();
     trainer->train();
     EXPECT_EQ(trainer->result().epochs_completed(), 4) << trainer->name();
-  }
-}
-
-TEST(DistAlgoShim, EveryAlgoNamesARegisteredStrategy) {
-  // The enum survives DistTrainerOptions' removal as a convenience
-  // vocabulary; each value must map onto a name the registry can build.
-  const auto names = strategy_registry().names();
-  for (DistAlgo algo :
-       {DistAlgo::k1dOblivious, DistAlgo::k1dSparse, DistAlgo::k15dOblivious,
-        DistAlgo::k15dSparse, DistAlgo::k2dOblivious, DistAlgo::k2dSparse}) {
-    const std::string name = strategy_name(algo);
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
-        << to_string(algo) << " -> " << name;
   }
 }
 

@@ -4,8 +4,8 @@
 // exactly, for every partitioner.
 #include <gtest/gtest.h>
 
-#include "dist/spmm_1d.hpp"
-#include "gnn/dist_trainer.hpp"
+#include "dist/spmm_15d.hpp"
+#include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "partition/metrics.hpp"
 #include "simcomm/cluster.hpp"
@@ -34,9 +34,9 @@ TEST_P(VolumeCrossCheck, RecordedBytesEqualPrediction) {
 
   Cluster cluster(p);
   cluster.run([&](Comm& comm) {
-    DistSpmm1d spmm_dist(comm, ap, ranges, SpmmMode::kSparsityAware);
+    DistSpmm15d spmm_dist(comm, ap, ranges, 1, SpmmMode::kSparsityAware);
     const BlockRange r = spmm_dist.my_range();
-    (void)spmm_dist.multiply(comm, h.slice_rows(r.begin, r.end));
+    (void)spmm_dist.multiply(h.slice_rows(r.begin, r.end));
   });
 
   const PhaseTraffic traffic = cluster.traffic().phase("alltoall");
@@ -65,7 +65,7 @@ TEST(VolumeCrossCheck, TrainerReportsConsistentAlltoallVolume) {
   const Dataset ds = make_protein_sim(DatasetScale::kTiny);
   auto trainer =
       TrainerBuilder(ds)
-          .strategy(strategy_name(DistAlgo::k1dSparse))
+          .strategy("1d-sparse")
           .ranks(4)
           .partitioner("metis")
           .gcn(GcnConfig::paper_3layer(ds.n_features(), ds.n_classes, 2))
