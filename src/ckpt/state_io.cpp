@@ -164,6 +164,15 @@ TrafficRecorder read_traffic(Deserializer& d) {
     throw CheckpointFormatError("negative rank count in section '" +
                                 d.section_name() + "'");
   }
+  // The recorder allocates one shard per rank up front, so bound p before
+  // building it: the runtime runs one thread per rank and never writes a
+  // rank count anywhere near this.
+  constexpr int kMaxRanks = 1 << 16;
+  if (p > kMaxRanks) {
+    throw CheckpointFormatError("rank count " + std::to_string(p) +
+                                " in section '" + d.section_name() +
+                                "' exceeds " + std::to_string(kMaxRanks));
+  }
   TrafficRecorder traffic(p);
   const std::uint64_t n_phases = d.read_u64();
   for (std::uint64_t i = 0; i < n_phases; ++i) {

@@ -2,23 +2,162 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <limits>
+#include <map>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 
 #include "simcomm/fault.hpp"
 
 namespace sagnn {
 
+namespace comm_detail {
+
+/// An arrived message nobody has claimed yet.
+struct Message {
+  std::uint64_t seq;  ///< position in the (src, tag) arrival stream
+  /// Deposit time as a timed wait needs it (see arrival_stamp()).
+  double sent_at;
+  std::vector<std::byte> data;
+};
+
+/// Everything the receiver keeps for one (src, tag) pair. Created on first
+/// use and never erased or renumbered: its seqs feed the fault plan's
+/// per-message decisions.
+struct Stream {
+  std::uint64_t next_arrival = 0;  ///< seq the next send takes
+  std::uint64_t next_posted = 0;   ///< seq the next posted receive takes
+  /// Arrived, unclaimed messages. Usually zero or one: a deeper backlog
+  /// only forms when sends run ahead of their receives.
+  std::vector<Message> arrived;
+
+  std::vector<Message>::iterator find(std::uint64_t seq) {
+    return std::find_if(arrived.begin(), arrived.end(),
+                        [seq](const Message& m) { return m.seq == seq; });
+  }
+  /// Deliver `msg` unless a copy with its seq is already pending — a
+  /// redundant delivery, suppressed by sequence number. False on
+  /// suppression.
+  bool deliver(Message&& msg) {
+    if (find(msg.seq) != arrived.end()) return false;
+    arrived.push_back(std::move(msg));
+    return true;
+  }
+};
+
+struct StreamKey {
+  int src;
+  long tag;
+  bool operator==(const StreamKey&) const = default;
+};
+
+struct StreamKeyHash {
+  std::size_t operator()(const StreamKey& k) const noexcept {
+    std::uint64_t h = static_cast<std::uint64_t>(k.tag) * 0x9e3779b97f4a7c15ull;
+    h ^= static_cast<std::uint32_t>(k.src);
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+};
+
+/// A message a lossy link swallowed, parked in the RECEIVER's mailbox so
+/// the whole retry protocol runs under the one mailbox lock. The
+/// retransmission carries the original sequence number — deterministic
+/// (src, tag) matching is preserved underneath the faults.
+struct DroppedMessage {
+  std::uint64_t attempts = 0;  ///< transmissions so far (all dropped)
+  std::vector<std::byte> data;
+};
+
+struct Mailbox {
+  explicit Mailbox(int owner) : rank(owner) {}
+
+  const int rank;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::unordered_map<StreamKey, Stream, StreamKeyHash> streams;
+  /// Slots whose receive was destroyed unwaited: the matching arrival is
+  /// dropped on sight so later slots keep matching their own messages.
+  /// Rare, so kept here rather than in every stream.
+  std::vector<std::pair<const Stream*, std::uint64_t>> abandoned;
+  /// Retransmit store of the retry protocol, keyed (src, tag, seq).
+  std::map<std::tuple<int, long, std::uint64_t>, DroppedMessage> dropped;
+  /// The slot the owner is blocked on (null: not blocked). isend wakes the
+  /// owner only for this slot.
+  const Stream* awaited = nullptr;
+  std::uint64_t awaited_seq = 0;
+
+  Stream& stream(int src, long tag) { return streams[StreamKey{src, tag}]; }
+  bool awaits(const Stream& s, std::uint64_t seq) const {
+    return awaited == &s && awaited_seq == seq;
+  }
+  /// Consume the abandon mark of slot `seq` of `s`, if any.
+  bool take_abandoned(const Stream& s, std::uint64_t seq) {
+    auto it = std::find(abandoned.begin(), abandoned.end(), std::make_pair(&s, seq));
+    if (it == abandoned.end()) return false;
+    abandoned.erase(it);
+    return true;
+  }
+};
+
+}  // namespace comm_detail
+
+using comm_detail::DroppedMessage;
+using comm_detail::Mailbox;
+using comm_detail::Message;
+using comm_detail::Stream;
+
 namespace {
+
 std::chrono::duration<double> secs(double s) {
   return std::chrono::duration<double>(s);
 }
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// sent_at of a message deposited into slot `seq`, read only when a timed
+/// wait can use it. WaitStats::hidden is min(wait_begin, sent_at) -
+/// posted_at clamped at 0, so an arrival before the receive was posted
+/// hides nothing (-inf) and one that lands while the owner is blocked on
+/// this very slot came after wait_begin (+inf). Only an arrival between
+/// post and wait reads the clock — and a blocking recv has no such window.
+double arrival_stamp(const Mailbox& box, const Stream& stream, std::uint64_t seq) {
+  if (seq >= stream.next_posted) return -kInf;
+  if (box.awaits(stream, seq)) return kInf;
+  return CommWorld::now_seconds();
+}
+
+/// Registers the owner as blocked on one slot for the scope of one cv
+/// wait. The mailbox lock must be held.
+class Awaiting {
+ public:
+  Awaiting(Mailbox& box, const Stream& stream, std::uint64_t seq) : box_(box) {
+    // A rank is one thread. A second waiter would be invisible to the
+    // single-slot wakeup in isend, so it is refused rather than lost.
+    SAGNN_REQUIRE(box.awaited == nullptr,
+                  "a second thread blocked on rank " + std::to_string(box.rank) +
+                      "'s mailbox (one waiter per mailbox)");
+    box.awaited = &stream;
+    box.awaited_seq = seq;
+  }
+  ~Awaiting() { box_.awaited = nullptr; }
+  Awaiting(const Awaiting&) = delete;
+  Awaiting& operator=(const Awaiting&) = delete;
+
+ private:
+  Mailbox& box_;
+};
+
 }  // namespace
 
 CommWorld::CommWorld(int size) : size_(size), traffic_(size) {
   SAGNN_REQUIRE(size > 0, "world size must be positive");
   mailboxes_.reserve(static_cast<std::size_t>(size));
-  for (int i = 0; i < size; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
+  for (int i = 0; i < size; ++i) mailboxes_.push_back(std::make_unique<Mailbox>(i));
 }
+
+CommWorld::~CommWorld() = default;
 
 void CommWorld::install_fault_plan(std::shared_ptr<const FaultPlan> plan) {
   fault_plan_ = std::move(plan);
@@ -54,15 +193,6 @@ double CommWorld::now_seconds() {
       .count();
 }
 
-bool CommWorld::deposit(Mailbox& box, Message&& msg) {
-  const bool duplicate =
-      std::any_of(box.messages.begin(), box.messages.end(), [&](const Message& m) {
-        return m.src == msg.src && m.tag == msg.tag && m.seq == msg.seq;
-      });
-  if (!duplicate) box.messages.push_back(std::move(msg));
-  return !duplicate;
-}
-
 Request CommWorld::isend(int src, int dst, long tag,
                          std::span<const std::byte> data,
                          const std::string& phase) {
@@ -88,56 +218,57 @@ Request CommWorld::isend(int src, int dst, long tag,
     }
   }
   traffic_.record(phase, src, dst, data.size());
-  const double sent_at = now_seconds();
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
   bool dropped = false;
   bool duplicated = false;
+  bool wake = false;
   {
     std::lock_guard lock(box.mutex);
-    const auto key = std::make_pair(src, tag);
-    const std::uint64_t seq = box.arrival_seq[key]++;
-    auto abandoned_it = box.abandoned.find(key);
-    if (abandoned_it != box.abandoned.end() &&
-        abandoned_it->second.erase(seq) > 0) {
+    Stream& stream = box.stream(src, tag);
+    const std::uint64_t seq = stream.next_arrival++;
+    if (box.take_abandoned(stream, seq)) {
       // The receive for this slot was destroyed unwaited; drop the payload
       // so later slots keep matching their own messages.
-      if (abandoned_it->second.empty()) box.abandoned.erase(abandoned_it);
     } else if (plan != nullptr && plan->should_drop(src, dst, tag, seq, 1)) {
       // The link swallowed the transmission. The payload parks in the
       // receiver's retransmit store — it still consumed its arrival seq,
-      // so the retransmission matches the same posted receive.
+      // so the retransmission matches the same posted receive. A receiver
+      // blocked on this slot wakes to start the retry protocol.
       box.dropped.emplace(std::make_tuple(src, tag, seq),
-                          DroppedMessage{1, sent_at, {data.begin(), data.end()}});
+                          DroppedMessage{1, {data.begin(), data.end()}});
       dropped = true;
+      wake = box.awaits(stream, seq);
     } else {
-      Message msg{src, tag, seq, sent_at, {data.begin(), data.end()}};
+      const double sent_at = arrival_stamp(box, stream, seq);
+      (void)stream.deliver(Message{seq, sent_at, {data.begin(), data.end()}});
       if (plan != nullptr && plan->should_duplicate(src, dst, tag, seq, 1)) {
         // A flaky link delivers twice; the redundant copy must be
         // suppressed by its sequence number.
-        Message copy = msg;
-        (void)deposit(box, std::move(msg));
-        duplicated = !deposit(box, std::move(copy));
-      } else {
-        (void)deposit(box, std::move(msg));
+        duplicated =
+            !stream.deliver(Message{seq, sent_at, {data.begin(), data.end()}});
       }
+      wake = box.awaits(stream, seq);
     }
   }
   if (dropped) traffic_.record_fault_drop();
   if (duplicated) traffic_.record_fault_duplicate();
-  box.cv.notify_all();
-  return Request(this, Request::Kind::kSend, dst, src, tag, 0, sent_at);
+  if (wake) box.cv.notify_one();
+  return Request(this, Request::Kind::kSend, nullptr, nullptr, src, tag, 0, 0);
 }
 
 Request CommWorld::irecv(int me, int src, long tag) {
   SAGNN_REQUIRE(me >= 0 && me < size_ && src >= 0 && src < size_,
                 "recv rank out of range");
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(me)];
+  Stream* stream = nullptr;
   std::uint64_t seq = 0;
   {
     std::lock_guard lock(box.mutex);
-    seq = box.posted_seq[std::make_pair(src, tag)]++;
+    stream = &box.stream(src, tag);
+    seq = stream->next_posted++;
   }
-  return Request(this, Request::Kind::kRecv, me, src, tag, seq, now_seconds());
+  return Request(this, Request::Kind::kRecv, &box, stream, src, tag, seq,
+                 now_seconds());
 }
 
 void CommWorld::send(int src, int dst, long tag, std::span<const std::byte> data,
@@ -146,23 +277,26 @@ void CommWorld::send(int src, int dst, long tag, std::span<const std::byte> data
 }
 
 std::vector<std::byte> CommWorld::recv(int me, int src, long tag) {
-  return irecv(me, src, tag).wait();
+  SAGNN_REQUIRE(me >= 0 && me < size_ && src >= 0 && src < size_,
+                "recv rank out of range");
+  Mailbox& box = *mailboxes_[static_cast<std::size_t>(me)];
+  std::unique_lock lock(box.mutex);
+  Stream& stream = box.stream(src, tag);
+  const std::uint64_t seq = stream.next_posted++;
+  return wait_recv(lock, box, stream, src, tag, seq, 0, nullptr);
 }
 
-std::vector<std::byte> CommWorld::wait_recv(int me, int src, long tag,
-                                            std::uint64_t seq, double posted_at,
-                                            WaitStats* stats) {
-  const double wait_begin = now_seconds();
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(me)];
+std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
+                                            Mailbox& box, Stream& stream, int src,
+                                            long tag, std::uint64_t seq,
+                                            double posted_at, WaitStats* stats) {
+  const double wait_begin = stats != nullptr ? now_seconds() : 0;
+  const int me = box.rank;
   const FaultPlan* plan = fault_plan_.get();
   const bool lossy = plan != nullptr && plan->lossy(src, me);
-  std::unique_lock lock(box.mutex);
   for (;;) {
-    auto it = std::find_if(box.messages.begin(), box.messages.end(),
-                           [&](const Message& m) {
-                             return m.src == src && m.tag == tag && m.seq == seq;
-                           });
-    if (it != box.messages.end()) {
+    auto it = stream.find(seq);
+    if (it != stream.arrived.end()) {
       if (stats != nullptr) {
         // Hidden: in-flight time covered before wait() was entered (clamped
         // to the post time — a message sent before the receive was posted
@@ -172,11 +306,12 @@ std::vector<std::byte> CommWorld::wait_recv(int me, int src, long tag,
         stats->blocked = std::max(0.0, now_seconds() - wait_begin);
       }
       std::vector<std::byte> data = std::move(it->data);
-      box.messages.erase(it);
+      stream.arrived.erase(it);
       return data;
     }
     if (aborted()) throw AbortedError();
     if (!lossy) {
+      Awaiting awaiting(box, stream, seq);
       box.cv.wait(lock);
       continue;
     }
@@ -192,6 +327,7 @@ std::vector<std::byte> CommWorld::wait_recv(int me, int src, long tag,
       // Nothing known-dropped for this slot: the message may simply not
       // have been sent yet. Poll with the base timeout so a later drop is
       // noticed (a real receiver cannot tell the two cases apart either).
+      Awaiting awaiting(box, stream, seq);
       if (box.cv.wait_for(lock, secs(plan->retry_timeout(1))) ==
           std::cv_status::timeout) {
         traffic_.record_fault_timeout();
@@ -209,20 +345,23 @@ std::vector<std::byte> CommWorld::wait_recv(int me, int src, long tag,
                        " attempts exhausted");
     }
     // Back off for this attempt's full timeout before the retransmission
-    // fires. Notifies for unrelated traffic on this mailbox must not cut
-    // the backoff short: nothing but our own retransmission can deliver
-    // this (src, tag, seq) slot, and the protocol invariant
-    // timeouts >= retries holds only if every retry is timeout-driven.
+    // fires. Nothing but our own retransmission can deliver this
+    // (src, tag, seq) slot, so only abort() or a spurious wakeup ends the
+    // wait early — and the protocol invariant timeouts >= retries holds
+    // only if every retry is timeout-driven.
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             secs(plan->retry_timeout(attempts)));
-    while (box.cv.wait_until(lock, deadline) != std::cv_status::timeout) {
-      if (aborted()) throw AbortedError();
+    {
+      Awaiting awaiting(box, stream, seq);
+      while (box.cv.wait_until(lock, deadline) != std::cv_status::timeout) {
+        if (aborted()) throw AbortedError();
+      }
     }
     traffic_.record_fault_timeout();
     if (aborted()) throw AbortedError();
-    parked = box.dropped.find(key);  // wait_for released the lock
+    parked = box.dropped.find(key);  // wait_until released the lock
     if (parked == box.dropped.end()) continue;
     const std::uint64_t attempt = ++parked->second.attempts;
     traffic_.record_fault_retry();
@@ -232,32 +371,30 @@ std::vector<std::byte> CommWorld::wait_recv(int me, int src, long tag,
       traffic_.record_fault_drop();
       continue;  // dropped again; the next cycle backs off longer
     }
-    Message msg{src, tag, seq, now_seconds(), std::move(parked->second.data)};
+    // It lands during this wait, i.e. after wait_begin (+inf).
+    Message msg{seq, kInf, std::move(parked->second.data)};
     box.dropped.erase(parked);
     if (plan->should_duplicate(src, me, tag, seq, attempt)) {
       Message copy = msg;
-      (void)deposit(box, std::move(msg));
-      if (!deposit(box, std::move(copy))) traffic_.record_fault_duplicate();
+      (void)stream.deliver(std::move(msg));
+      if (!stream.deliver(std::move(copy))) traffic_.record_fault_duplicate();
     } else {
-      (void)deposit(box, std::move(msg));
+      (void)stream.deliver(std::move(msg));
     }
     // Delivered: the next loop iteration claims it.
   }
 }
 
-void CommWorld::abandon_recv(int me, int src, long tag, std::uint64_t seq) {
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(me)];
+void CommWorld::abandon_recv(Mailbox& box, Stream& stream, int src, long tag,
+                             std::uint64_t seq) {
   std::lock_guard lock(box.mutex);
-  auto it = std::find_if(box.messages.begin(), box.messages.end(),
-                         [&](const Message& m) {
-                           return m.src == src && m.tag == tag && m.seq == seq;
-                         });
-  if (it != box.messages.end()) {
-    box.messages.erase(it);
+  auto it = stream.find(seq);
+  if (it != stream.arrived.end()) {
+    stream.arrived.erase(it);
   } else if (box.dropped.erase(std::make_tuple(src, tag, seq)) == 0) {
     // Not arrived and not parked in the retransmit store: mark the slot so
     // the future arrival is dropped on sight.
-    box.abandoned[std::make_pair(src, tag)].insert(seq);
+    box.abandoned.emplace_back(&stream, seq);
   }
 }
 
@@ -275,12 +412,14 @@ std::vector<std::byte> Request::wait(WaitStats* stats) {
     if (stats != nullptr) *stats = {};
     return {};
   }
-  return world_->wait_recv(me_, src_, tag_, seq_, posted_at_, stats);
+  std::unique_lock lock(box_->mutex);
+  return world_->wait_recv(lock, *box_, *stream_, src_, tag_, seq_, posted_at_,
+                           stats);
 }
 
 void Request::release() {
   if (state_ == State::kPending && kind_ == Kind::kRecv) {
-    world_->abandon_recv(me_, src_, tag_, seq_);
+    world_->abandon_recv(*box_, *stream_, src_, tag_, seq_);
   }
   world_ = nullptr;
   state_ = State::kEmpty;
@@ -355,10 +494,9 @@ Comm Comm::split(const std::function<int(int)>& color_of) const {
   const int my_color = color_of(rank_);
   Comm out;
   out.world_ = world_;
-  const long seq = split_seq_;
   // split_seq_ advances on the parent so a later split() from the same
   // parent gets a different communicator id even with equal colors.
-  const_cast<Comm*>(this)->split_seq_++;
+  const std::uint64_t seq = split_seq_++;
   for (int r = 0; r < size(); ++r) {
     if (color_of(r) == my_color) {
       if (r == rank_) out.rank_ = static_cast<int>(out.members_.size());
@@ -366,7 +504,11 @@ Comm Comm::split(const std::function<int(int)>& color_of) const {
     }
   }
   SAGNN_CHECK(out.rank_ >= 0);
-  out.comm_id_ = comm_id_ * 1000003L + seq * 1009L + my_color + 1;
+  // Unsigned, so deep split chains wrap instead of overflowing. An id that
+  // fits a long (depth <= 3) has the same bits as in signed arithmetic, so
+  // stamped tags, and the seeded lossy drops keyed on them, do not move.
+  out.comm_id_ = comm_id_ * 1000003u + seq * 1009u +
+                 static_cast<std::uint64_t>(std::int64_t{my_color} + 1);
   return out;
 }
 

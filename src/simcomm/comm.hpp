@@ -5,9 +5,9 @@
 // ranks (like an MPI communicator / NCCL clique). The runtime is
 // request-based: isend/irecv return Request handles and wait()/waitall()
 // complete them, exactly the MPI_Isend/Irecv/Wait idiom the pipelined
-// SpMM schedules are written in. Blocking send/recv remain as the
-// post-and-wait composition of the same primitives, so there is a single
-// matching path.
+// SpMM schedules are written in. Blocking send is isend without the
+// handle; blocking recv reserves its slot and calls the same wait_recv as
+// Request::wait(), so there is a single matching path.
 //
 // Semantics:
 //   * Sends are eager: isend deep-copies the payload into the receiver's
@@ -25,6 +25,17 @@
 //     (src, tag) stream without corrupting later matches (no leak).
 //   * wait() on an already-completed or empty handle is a typed
 //     RequestError, never undefined behavior.
+//   * One waiter per mailbox: a rank is one thread, so only the owner ever
+//     blocks on its mailbox. A second thread that tries to block there
+//     while the owner is blocked gets a typed Error.
+//
+// Cost per message: each mailbox keeps one stream per (src, tag) — next
+// arrival seq, next posted seq, arrived-but-unclaimed messages — so isend,
+// irecv and recv each cost one hash lookup, and a Request keeps its stream
+// for wait() and abandon. A blocked receiver records the one slot it
+// awaits, and isend wakes it only when it deposits (or a lossy link parks)
+// that slot. The clock is read only for Request::wait(&stats): blocking
+// recv never touches it.
 //
 // Tag space: user tags must be < kUserTagLimit. Internal operations
 // (barriers, collectives) use reserved offsets above that, further prefixed
@@ -33,16 +44,12 @@
 // namespacing happens at post time.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -52,6 +59,12 @@
 namespace sagnn {
 
 class FaultPlan;
+
+namespace comm_detail {
+// Defined in comm.cpp: a rank's mailbox and one (src, tag) stream in it.
+struct Mailbox;
+struct Stream;
+}  // namespace comm_detail
 
 /// Thrown out of blocked receives when the cluster is torn down after
 /// another rank failed; prevents deadlock on rank errors.
@@ -113,12 +126,14 @@ class Request {
   enum class State : std::uint8_t { kEmpty, kPending, kDone };
   enum class Kind : std::uint8_t { kSend, kRecv };
 
-  Request(CommWorld* world, Kind kind, int me, int src, long tag,
-          std::uint64_t seq, double posted_at)
+  Request(CommWorld* world, Kind kind, comm_detail::Mailbox* box,
+          comm_detail::Stream* stream, int src, long tag, std::uint64_t seq,
+          double posted_at)
       : world_(world),
         state_(State::kPending),
         kind_(kind),
-        me_(me),
+        box_(box),
+        stream_(stream),
         src_(src),
         tag_(tag),
         seq_(seq),
@@ -128,7 +143,8 @@ class Request {
     world_ = other.world_;
     state_ = other.state_;
     kind_ = other.kind_;
-    me_ = other.me_;
+    box_ = other.box_;
+    stream_ = other.stream_;
     src_ = other.src_;
     tag_ = other.tag_;
     seq_ = other.seq_;
@@ -141,7 +157,9 @@ class Request {
   CommWorld* world_ = nullptr;
   State state_ = State::kEmpty;
   Kind kind_ = Kind::kSend;
-  int me_ = -1;
+  /// Receives keep their mailbox and stream so wait() skips the lookup.
+  comm_detail::Mailbox* box_ = nullptr;
+  comm_detail::Stream* stream_ = nullptr;
   int src_ = -1;
   long tag_ = 0;
   std::uint64_t seq_ = 0;
@@ -151,6 +169,7 @@ class Request {
 class CommWorld {
  public:
   explicit CommWorld(int size);
+  ~CommWorld();
 
   int size() const { return size_; }
   TrafficRecorder& traffic() { return traffic_; }
@@ -170,8 +189,9 @@ class CommWorld {
   void send(int src, int dst, long tag, std::span<const std::byte> data,
             const std::string& phase);
 
-  /// Blocking receive of the message with matching (src, tag) —
-  /// irecv(...).wait().
+  /// Blocking receive of the message with matching (src, tag): reserves
+  /// the next slot of the stream like irecv() and claims it through the
+  /// same wait_recv as Request::wait(), without reading the clock.
   std::vector<std::byte> recv(int me, int src, long tag);
 
   /// Wake every blocked receiver with AbortedError (called by Cluster when
@@ -204,51 +224,22 @@ class CommWorld {
  private:
   friend class Request;
 
-  struct Message {
-    int src;
-    long tag;
-    std::uint64_t seq;  ///< position in the (src, tag) arrival stream
-    double sent_at;     ///< now_seconds() at deposit
-    std::vector<std::byte> data;
-  };
-  /// A message a lossy link swallowed, parked in the RECEIVER's mailbox
-  /// so the whole retry protocol runs under the one mailbox lock. The
-  /// retransmission carries the original sequence number — deterministic
-  /// (src, tag) matching is preserved underneath the faults.
-  struct DroppedMessage {
-    std::uint64_t attempts = 0;  ///< transmissions so far (all dropped)
-    double sent_at = 0;
-    std::vector<std::byte> data;
-  };
-  struct Mailbox {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::vector<Message> messages;
-    /// Next arrival / next posted-receive sequence number per (src, tag).
-    std::map<std::pair<int, long>, std::uint64_t> arrival_seq;
-    std::map<std::pair<int, long>, std::uint64_t> posted_seq;
-    /// Slots whose receive was destroyed unwaited: the matching arrival is
-    /// dropped on sight so later slots keep matching their own messages.
-    std::map<std::pair<int, long>, std::set<std::uint64_t>> abandoned;
-    /// Retransmit store of the retry protocol, keyed (src, tag, seq).
-    std::map<std::tuple<int, long, std::uint64_t>, DroppedMessage> dropped;
-  };
-
-  /// Deliver a message into the mailbox unless an identical (src, tag,
-  /// seq) copy is already present — a redundant retransmission, suppressed
-  /// by sequence number. Caller holds the mailbox lock; returns false on
-  /// suppression.
-  static bool deposit(Mailbox& box, Message&& msg);
-
-  /// Request::wait() for receives: claim the (src, tag, seq) message.
-  std::vector<std::byte> wait_recv(int me, int src, long tag, std::uint64_t seq,
-                                   double posted_at, WaitStats* stats);
+  /// The one matching path, shared by Request::wait() and the blocking
+  /// recv(): claim slot `seq` of the (src, tag) `stream` in `box`, blocking
+  /// until it arrives. `lock` holds box's mutex on entry and exit. The clock is
+  /// read only when `stats` is non-null.
+  std::vector<std::byte> wait_recv(std::unique_lock<std::mutex>& lock,
+                                   comm_detail::Mailbox& box,
+                                   comm_detail::Stream& stream, int src, long tag,
+                                   std::uint64_t seq, double posted_at,
+                                   WaitStats* stats);
   /// Request destructor path: drop the slot without corrupting the stream.
-  void abandon_recv(int me, int src, long tag, std::uint64_t seq);
+  void abandon_recv(comm_detail::Mailbox& box, comm_detail::Stream& stream,
+                    int src, long tag, std::uint64_t seq);
 
   int size_;
   TrafficRecorder traffic_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::vector<std::unique_ptr<comm_detail::Mailbox>> mailboxes_;
   std::atomic<bool> aborted_{false};
   /// Fault injection (null = fault-free fast path, bit-identical runtime).
   std::shared_ptr<const FaultPlan> fault_plan_;
@@ -353,10 +344,11 @@ class Comm {
   /// pending requests, since stamping happens when the request is posted.
   /// The id is folded to 20 bits; collisions across *simultaneously live*
   /// comms are avoided by deriving child ids from (parent id, split
-  /// sequence, color).
+  /// sequence, color). Ids wrap modulo 2^64 (deep split chains); the fold
+  /// reads them as signed, which every id that fits a long keeps as is.
   long stamp(long tag) const {
     SAGNN_CHECK(tag >= 0 && tag < kTagSpace);
-    return (comm_id_ % (1L << 20)) * kTagSpace + tag;
+    return (static_cast<long>(comm_id_) % (1L << 20)) * kTagSpace + tag;
   }
 
   static constexpr long kTagSpace = 1L << 30;
@@ -365,9 +357,11 @@ class Comm {
   CommWorld* world_ = nullptr;
   std::vector<int> members_;
   int rank_ = -1;
-  long comm_id_ = 0;
+  std::uint64_t comm_id_ = 0;
   long barrier_epoch_ = 0;
-  long split_seq_ = 0;
+  /// Advanced by the (logically const) split() so sibling splits get
+  /// distinct ids.
+  mutable std::uint64_t split_seq_ = 0;
 };
 
 /// User tags passed to Comm::send/recv must stay below this bound.

@@ -57,59 +57,91 @@ double PhaseTraffic::send_imbalance_percent() const {
   return (static_cast<double>(max_send_bytes()) / avg - 1.0) * 100.0;
 }
 
-TrafficRecorder::TrafficRecorder(const TrafficRecorder& other) : p_(other.p_) {
+TrafficRecorder::TrafficRecorder(int p) : p_(p) {
+  shards_.reserve(static_cast<std::size_t>(std::max(p, 0)));
+  for (int s = 0; s < p; ++s) shards_.push_back(std::make_unique<Shard>());
+}
+
+TrafficRecorder::TrafficRecorder(const TrafficRecorder& other)
+    : TrafficRecorder(other.p_) {
   std::lock_guard lock(other.mutex_);
-  phases_ = other.phases_;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::lock_guard shard_lock(other.shards_[s]->mutex);
+    shards_[s]->rows = other.shards_[s]->rows;
+  }
   overlap_ = other.overlap_;
   faults_ = other.faults_;
 }
 
 TrafficRecorder& TrafficRecorder::operator=(const TrafficRecorder& other) {
   if (this == &other) return *this;
-  std::map<std::string, PhaseTraffic> snapshot;
-  std::map<std::string, OverlapSample> overlap_snapshot;
-  FaultCounters faults_snapshot;
-  {
-    std::lock_guard lock(other.mutex_);
-    snapshot = other.phases_;
-    overlap_snapshot = other.overlap_;
-    faults_snapshot = other.faults_;
-  }
+  TrafficRecorder snapshot(other);
   std::lock_guard lock(mutex_);
-  p_ = other.p_;
-  phases_ = std::move(snapshot);
-  overlap_ = std::move(overlap_snapshot);
-  faults_ = faults_snapshot;
+  if (p_ != snapshot.p_) {
+    p_ = snapshot.p_;
+    shards_ = std::move(snapshot.shards_);
+  } else {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      std::lock_guard shard_lock(shards_[s]->mutex);
+      shards_[s]->rows = std::move(snapshot.shards_[s]->rows);
+      shards_[s]->last = nullptr;
+    }
+  }
+  overlap_ = std::move(snapshot.overlap_);
+  faults_ = snapshot.faults_;
   return *this;
 }
 
 void TrafficRecorder::record(const std::string& phase, int src, int dst,
                              std::uint64_t bytes) {
-  std::lock_guard lock(mutex_);
-  auto [it, inserted] = phases_.try_emplace(phase, p_);
-  (void)inserted;
-  it->second.bytes[static_cast<std::size_t>(src) * p_ + dst] += bytes;
-  it->second.msgs[static_cast<std::size_t>(src) * p_ + dst] += 1;
+  Shard& shard = *shards_[static_cast<std::size_t>(src)];
+  std::lock_guard lock(shard.mutex);
+  if (shard.last == nullptr || shard.last->first != phase) {
+    shard.last = &*shard.rows.try_emplace(phase, p_).first;
+  }
+  Shard::Row& row = shard.last->second;
+  row.bytes[static_cast<std::size_t>(dst)] += bytes;
+  row.msgs[static_cast<std::size_t>(dst)] += 1;
+}
+
+PhaseTraffic TrafficRecorder::fold(
+    const std::function<bool(const std::string&)>& keep) const {
+  PhaseTraffic acc(p_);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::lock_guard lock(shards_[s]->mutex);
+    const std::size_t offset = s * static_cast<std::size_t>(p_);
+    for (const auto& [name, row] : shards_[s]->rows) {
+      if (!keep(name)) continue;
+      for (std::size_t d = 0; d < row.bytes.size(); ++d) {
+        acc.bytes[offset + d] += row.bytes[d];
+        acc.msgs[offset + d] += row.msgs[d];
+      }
+    }
+  }
+  return acc;
+}
+
+std::vector<std::string> TrafficRecorder::names_locked() const {
+  std::vector<std::string> names;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mutex);
+    for (const auto& [name, row] : shard->rows) names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
 }
 
 PhaseTraffic TrafficRecorder::phase(const std::string& name) const {
   std::lock_guard lock(mutex_);
-  auto it = phases_.find(name);
-  if (it == phases_.end()) return PhaseTraffic(p_);
-  return it->second;
+  return fold([&](const std::string& n) { return n == name; });
 }
 
 PhaseTraffic TrafficRecorder::total(const std::vector<std::string>& exclude) const {
   std::lock_guard lock(mutex_);
-  PhaseTraffic acc(p_);
-  for (const auto& [name, tr] : phases_) {
-    if (std::find(exclude.begin(), exclude.end(), name) != exclude.end()) continue;
-    for (std::size_t i = 0; i < acc.bytes.size(); ++i) {
-      acc.bytes[i] += tr.bytes[i];
-      acc.msgs[i] += tr.msgs[i];
-    }
-  }
-  return acc;
+  return fold([&](const std::string& n) {
+    return std::find(exclude.begin(), exclude.end(), n) == exclude.end();
+  });
 }
 
 std::string TrafficRecorder::stage_phase(const std::string& base, int stage) {
@@ -123,32 +155,20 @@ std::string TrafficRecorder::base_name(const std::string& phase) {
 
 int TrafficRecorder::stage_count(const std::string& base) const {
   std::lock_guard lock(mutex_);
-  int count = 0;
-  for (const auto& [name, tr] : phases_) {
-    if (base_name(name) == base) ++count;
-  }
-  return count;
+  const std::vector<std::string> names = names_locked();
+  return static_cast<int>(std::count_if(
+      names.begin(), names.end(),
+      [&](const std::string& n) { return base_name(n) == base; }));
 }
 
 PhaseTraffic TrafficRecorder::phase_total(const std::string& base) const {
   std::lock_guard lock(mutex_);
-  PhaseTraffic acc(p_);
-  for (const auto& [name, tr] : phases_) {
-    if (base_name(name) != base) continue;
-    for (std::size_t i = 0; i < acc.bytes.size(); ++i) {
-      acc.bytes[i] += tr.bytes[i];
-      acc.msgs[i] += tr.msgs[i];
-    }
-  }
-  return acc;
+  return fold([&](const std::string& n) { return base_name(n) == base; });
 }
 
 std::vector<std::string> TrafficRecorder::phase_names() const {
   std::lock_guard lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(phases_.size());
-  for (const auto& [name, tr] : phases_) names.push_back(name);
-  return names;
+  return names_locked();
 }
 
 void TrafficRecorder::record_overlap(const std::string& phase, double hidden,
@@ -223,12 +243,23 @@ void TrafficRecorder::set_phase(const std::string& name, PhaseTraffic traffic) {
                 "set_phase geometry mismatch: recorder p=" + std::to_string(p_) +
                     ", phase p=" + std::to_string(traffic.p));
   std::lock_guard lock(mutex_);
-  phases_.insert_or_assign(name, std::move(traffic));
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const auto first = static_cast<std::ptrdiff_t>(s * static_cast<std::size_t>(p_));
+    Shard::Row row(p_);
+    std::copy_n(traffic.bytes.begin() + first, p_, row.bytes.begin());
+    std::copy_n(traffic.msgs.begin() + first, p_, row.msgs.begin());
+    std::lock_guard shard_lock(shards_[s]->mutex);
+    shards_[s]->rows.insert_or_assign(name, std::move(row));
+  }
 }
 
 void TrafficRecorder::reset() {
   std::lock_guard lock(mutex_);
-  phases_.clear();
+  for (const auto& shard : shards_) {
+    std::lock_guard shard_lock(shard->mutex);
+    shard->rows.clear();
+    shard->last = nullptr;
+  }
   overlap_.clear();
   faults_ = FaultCounters{};
 }

@@ -12,9 +12,16 @@
 // (see stage_phase()). Consumers that care about the schedule read the
 // stages individually; consumers that only care about volume aggregate by
 // base_name() (phase_total(), stage_count()).
+//
+// Recording is sharded by source rank: each rank thread records into its
+// own shard (own lock, row `src` of every phase), so concurrent senders
+// never contend. Every reader folds the shards back into whole p x p
+// phases under the recorder lock; the API sees one recorder.
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -96,14 +103,15 @@ struct FaultCounters {
 
 class TrafficRecorder {
  public:
-  explicit TrafficRecorder(int p) : p_(p) {}
+  explicit TrafficRecorder(int p);
 
   /// Copyable (snapshot semantics): takes the source's lock, not its mutex.
   TrafficRecorder(const TrafficRecorder& other);
   TrafficRecorder& operator=(const TrafficRecorder& other);
 
   /// Record one message. Self-sends (src == dst) are recorded but excluded
-  /// from the send/recv summaries above (local copies are free).
+  /// from the send/recv summaries above (local copies are free). Takes only
+  /// the lock of src's shard.
   void record(const std::string& phase, int src, int dst, std::uint64_t bytes);
 
   /// Snapshot of one phase (zeroed counters if the phase never occurred).
@@ -156,9 +164,33 @@ class TrafficRecorder {
   int p() const { return p_; }
 
  private:
+  /// Row `src` of every phase, written only by record(phase, src, ...).
+  /// Cache-line aligned so neighbouring ranks' locks do not false-share.
+  struct alignas(64) Shard {
+    struct Row {
+      explicit Row(int p)
+          : bytes(static_cast<std::size_t>(p), 0),
+            msgs(static_cast<std::size_t>(p), 0) {}
+      std::vector<std::uint64_t> bytes;  ///< [dst]
+      std::vector<std::uint64_t> msgs;   ///< [dst]
+    };
+    std::mutex mutex;
+    std::map<std::string, Row> rows;  ///< phase -> this source's row
+    /// Last phase recorded: consecutive messages almost always share it.
+    std::pair<const std::string, Row>* last = nullptr;
+  };
+
+  /// Sum over every phase whose name passes `keep`, folded from all
+  /// shards. Caller holds mutex_.
+  PhaseTraffic fold(const std::function<bool(const std::string&)>& keep) const;
+  /// Sorted, unique names of every recorded phase. Caller holds mutex_.
+  std::vector<std::string> names_locked() const;
+
   int p_;
+  /// Serializes readers, set_phase/reset, and the overlap and fault
+  /// ledgers. Lock order: mutex_ before any shard mutex.
   mutable std::mutex mutex_;
-  std::map<std::string, PhaseTraffic> phases_;
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< [src]
   /// Measured post→wait ledger. Deliberately NOT checkpointed: wall-clock
   /// is a property of the host session, so restored runs restart it.
   std::map<std::string, OverlapSample> overlap_;

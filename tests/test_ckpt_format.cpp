@@ -337,6 +337,22 @@ TEST(CkptFailure, CorruptLengthFieldIsTypedErrorNotBadAlloc) {
   EXPECT_THROW(d.enter_section("weights"), CheckpointTruncatedError);
 }
 
+TEST(CkptFailure, HugeTrafficRankCountIsFormatErrorNotAllocation) {
+  // A traffic section with no phases leaves its rank count unbounded by
+  // the payload, and a recorder allocates one shard per rank: the reader
+  // must refuse an impossible p before building one.
+  std::stringstream ss;
+  Serializer s(ss);
+  s.begin_section("traffic");
+  s.write_i32(1 << 30);
+  s.write_u64(0);
+  s.end_section();
+  s.finish();
+  Deserializer d(ss);
+  d.enter_section("traffic");
+  EXPECT_THROW((void)ckpt::read_traffic(d), CheckpointFormatError);
+}
+
 TEST(CkptFailure, WrongSectionNameIsFormatErrorNamingBoth) {
   const std::string bytes = valid_stream();
   std::istringstream in(bytes);

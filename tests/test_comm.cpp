@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <vector>
 
 #include "simcomm/cluster.hpp"
+#include "simcomm/collectives.hpp"
 
 namespace sagnn {
 namespace {
@@ -112,6 +114,27 @@ TEST(Comm, NestedSplits) {
     quarter.barrier();
     half.barrier();
     comm.barrier();
+  });
+}
+
+TEST(Comm, FiveDeepSplitsWrapIdsAndStillAllreduce) {
+  // Child communicator ids multiply by ~1e6 per level, so the fourth
+  // nested split leaves the range of a signed 64-bit id. Ids are unsigned
+  // and wrap; the innermost communicator must still work. Four parity
+  // splits take 32 ranks to pairs {x, x + 16}; the fifth keeps the pair.
+  run_spmd(32, [](Comm& comm) {
+    Comm sub = comm;
+    for (int level = 0; level < 4; ++level) {
+      sub = sub.split([](int r) { return r % 2; });
+    }
+    // split() is const, so it must also work on a const parent.
+    const Comm parent = sub;
+    Comm inner = parent.split([](int) { return 0; });
+    ASSERT_EQ(inner.size(), 2);
+    std::vector<int> v{comm.rank()};
+    allreduce_sum<int>(inner, v);
+    EXPECT_EQ(v[0], 2 * (comm.rank() % 16) + 16);
+    inner.barrier();
   });
 }
 

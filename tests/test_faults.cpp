@@ -5,13 +5,9 @@
 // the train()-level recovery loop (transient, cold, and elastic restarts).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <thread>
 #include <vector>
 
 #include "gnn/distributed_trainer.hpp"
@@ -21,6 +17,7 @@
 #include "simcomm/collectives.hpp"
 #include "simcomm/comm.hpp"
 #include "simcomm/fault.hpp"
+#include "watchdog.hpp"
 
 namespace sagnn {
 namespace {
@@ -33,23 +30,6 @@ GcnConfig tiny_config(const Dataset& ds, int epochs) {
 
 std::string temp_ckpt_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-/// Run `body` on a helper thread and fail (instead of hanging the suite)
-/// if it does not finish within five seconds.
-void with_watchdog(const std::function<void()>& body) {
-  std::atomic<bool> done{false};
-  std::thread runner([&] {
-    body();
-    done.store(true);
-  });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(done.load()) << "fault-injection scenario hung (watchdog)";
-  runner.join();
 }
 
 TEST(FaultPlan, SpecValidationIsTyped) {

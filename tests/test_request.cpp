@@ -1,17 +1,24 @@
 // The request-based nonblocking runtime: out-of-order completion across
 // tags, deterministic per-(src, tag) matching independent of wait order,
 // zero-byte payloads through waitall, typed misuse errors, abandoned
-// receives, and abort safety with requests still pending.
+// receives, abort safety with requests still pending, no lost wakeups
+// under shuffled post/send/wait orders, and one waiter per mailbox.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "simcomm/cluster.hpp"
 #include "simcomm/collectives.hpp"
 #include "simcomm/comm.hpp"
+#include "simcomm/fault.hpp"
+#include "watchdog.hpp"
 
 namespace sagnn {
 namespace {
@@ -180,8 +187,7 @@ TEST(Request, AbortResolvesPendingWaitsWithoutDeadlock) {
   // messages that will never be sent. The abort must wake them all with
   // AbortedError; a 5 s watchdog turns a regression into a failure
   // instead of a hung suite.
-  std::atomic<bool> done{false};
-  std::thread runner([&] {
+  with_watchdog([] {
     Cluster cluster(4);
     EXPECT_THROW(
         cluster.run([](Comm& comm) {
@@ -194,15 +200,7 @@ TEST(Request, AbortResolvesPendingWaitsWithoutDeadlock) {
           EXPECT_THROW((void)also_never.wait(), AbortedError);
         }),
         Error);
-    done.store(true);
   });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(done.load()) << "abort failed to wake pending waits within 5s";
-  runner.join();
 }
 
 TEST(Request, WaitallMidBatchAbortResolvesEveryRemainingHandle) {
@@ -211,8 +209,7 @@ TEST(Request, WaitallMidBatchAbortResolvesEveryRemainingHandle) {
   // deliverable prefix, throw AbortedError once, and leave EVERY handle
   // consumed (!valid()) — a half-drained batch would leak (src, tag)
   // stream slots into any later recovery on the same world.
-  std::atomic<bool> done{false};
-  std::thread runner([&] {
+  with_watchdog([] {
     Cluster cluster(2);
     EXPECT_THROW(
         cluster.run([](Comm& comm) {
@@ -238,15 +235,132 @@ TEST(Request, WaitallMidBatchAbortResolvesEveryRemainingHandle) {
           }
         }),
         Error);
-    done.store(true);
   });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
+/// Result of one wakeup_stress() run.
+struct StressRun {
+  /// Every received payload, rank-major, in each rank's wait order.
+  std::vector<int> payloads;
+  FaultCounters faults;
+};
+
+/// p = 8 ranks, 200 rounds. Every round each rank posts a receive on 3 tags
+/// from every peer, sends its own 21 messages in one seeded shuffle, and
+/// waits its receives in another. A receiver woken for the wrong slot, or
+/// not woken for its own, shows up as a hang or a wrong payload.
+StressRun wakeup_stress(std::shared_ptr<const FaultPlan> plan) {
+  constexpr int kRanks = 8;
+  constexpr int kRounds = 200;
+  constexpr int kTags = 3;
+  std::vector<std::vector<int>> got(kRanks);
+  Cluster cluster(kRanks, std::move(plan));
+  cluster.run([&](Comm& comm) {
+    const int me = comm.rank();
+    std::mt19937 send_rng(101 + static_cast<unsigned>(me));
+    std::mt19937 wait_rng(907 + static_cast<unsigned>(me));
+    std::vector<std::pair<int, int>> slots;  // (peer, tag)
+    for (int peer = 0; peer < kRanks; ++peer) {
+      if (peer == me) continue;
+      for (int t = 0; t < kTags; ++t) slots.emplace_back(peer, t);
+    }
+    std::vector<std::size_t> order(slots.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::vector<int>& out = got[static_cast<std::size_t>(me)];
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<Request> recvs;
+      for (const auto& [peer, t] : slots) recvs.push_back(comm.irecv(peer, 30 + t));
+      std::shuffle(order.begin(), order.end(), send_rng);
+      for (std::size_t i : order) {
+        const auto [dst, t] = slots[i];
+        const std::vector<int> payload{round, me, dst, t};
+        comm.send<int>(dst, 30 + t, payload, "p2p");
+      }
+      std::shuffle(order.begin(), order.end(), wait_rng);
+      for (std::size_t i : order) {
+        const auto payload = Comm::payload_as<int>(recvs[i].wait());
+        const auto [peer, t] = slots[i];
+        EXPECT_EQ(payload, (std::vector<int>{round, peer, me, t}))
+            << "rank " << me << " round " << round;
+        out.insert(out.end(), payload.begin(), payload.end());
+      }
+    }
+  });
+  StressRun run;
+  for (const auto& rank_payloads : got) {
+    run.payloads.insert(run.payloads.end(), rank_payloads.begin(),
+                        rank_payloads.end());
   }
-  ASSERT_TRUE(done.load()) << "aborted waitall failed to resolve within 5s";
-  runner.join();
+  run.faults = cluster.traffic().fault_counters();
+  return run;
+}
+
+TEST(Request, ShuffledPostSendWaitOrdersLoseNoWakeup) {
+  with_watchdog([] {
+    const StressRun run = wakeup_stress(nullptr);
+    EXPECT_EQ(run.payloads.size(), 8u * 200u * 21u * 4u);
+    EXPECT_FALSE(run.faults.any());
+  });
+}
+
+TEST(Request, ShuffledStressUnderLossyPlanIsDeterministic) {
+  FaultSpec spec;
+  spec.seed = 11;
+  spec.drop_probability = 0.1;
+  spec.duplicate_probability = 0.1;
+  spec.max_attempts = 10;
+  spec.retry_timeout = 1e-4;
+  spec.retry_timeout_cap = 1e-3;
+  const auto plan = FaultPlan::make(spec);
+  StressRun first;
+  StressRun second;
+  with_watchdog([&] { first = wakeup_stress(plan); });
+  with_watchdog([&] { second = wakeup_stress(plan); });
+  EXPECT_GT(first.faults.drops, 0u);
+  EXPECT_GT(first.faults.duplicates, 0u);
+  EXPECT_EQ(first.faults.retries, first.faults.drops);
+  // Drops, retries and duplicates are pure hashes of the message identity;
+  // timeouts count host-timed expiries and may differ.
+  EXPECT_EQ(first.payloads, second.payloads);
+  EXPECT_EQ(first.faults.drops, second.faults.drops);
+  EXPECT_EQ(first.faults.retries, second.faults.retries);
+  EXPECT_EQ(first.faults.duplicates, second.faults.duplicates);
+}
+
+TEST(Request, SecondWaiterOnAMailboxIsATypedError) {
+  // A rank is one thread, so one thread blocks on a mailbox at a time. The
+  // owner blocks on tag 1; a second thread then blocks on tag 2 of the same
+  // mailbox. Whichever of the two reaches the wait second is refused with
+  // a typed error — never a silently lost wakeup — and the other completes.
+  with_watchdog([] {
+    CommWorld world(2);
+    std::atomic<int> refused{0};
+    std::atomic<int> received{0};
+    auto block_on = [&](long tag) {
+      try {
+        (void)world.recv(1, 0, tag);
+        received.fetch_add(1);
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("one waiter per mailbox"),
+                  std::string::npos)
+            << e.what();
+        refused.fetch_add(1);
+      }
+    };
+    std::thread owner(block_on, 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::thread intruder(block_on, 2);
+    while (refused.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const std::byte token{0};
+    world.send(0, 1, 1, {&token, 1}, "p2p");
+    world.send(0, 1, 2, {&token, 1}, "p2p");
+    owner.join();
+    intruder.join();
+    EXPECT_EQ(refused.load(), 1);
+    EXPECT_EQ(received.load(), 1);
+  });
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
-// Traffic recorder accounting: per-pair counters, summaries, imbalance.
+// Traffic recorder accounting: per-pair counters, summaries, imbalance,
+// and the per-source shards behind concurrent recording.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "simcomm/traffic.hpp"
 
@@ -115,6 +121,94 @@ TEST(Traffic, CopyIsSnapshot) {
   rec.record("a", 0, 1, 5);
   EXPECT_EQ(copy.phase("a").total_bytes(), 5u);
   EXPECT_EQ(rec.phase("a").total_bytes(), 10u);
+}
+
+TEST(Traffic, ConcurrentShardedRecordingEqualsSerialReplay) {
+  // Every source rank records the same script from its own thread, plus a
+  // "retry" row recorded on the DESTINATION's thread (the retry protocol
+  // runs receiver-side). Folding the shards must give exactly what one
+  // thread replaying the same records gets, pair for pair.
+  const int p = 8;
+  const std::vector<std::string> phases{"alltoall#0", "alltoall#1", "allreduce",
+                                        "bcast"};
+  auto script = [&](TrafficRecorder& rec, int src) {
+    for (int k = 0; k < 300; ++k) {
+      const std::string& phase = phases[static_cast<std::size_t>((src + k / 7) % 4)];
+      rec.record(phase, src, (src + k) % p, static_cast<std::uint64_t>(src * 1000 + k));
+    }
+  };
+  auto retry = [&](TrafficRecorder& rec, int me) {
+    rec.record("retry", (me + 1) % p, me, static_cast<std::uint64_t>(7 + me));
+  };
+
+  TrafficRecorder concurrent(p);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < p; ++r) {
+    threads.emplace_back([&, r] {
+      script(concurrent, r);
+      retry(concurrent, r);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  TrafficRecorder serial(p);
+  for (int r = 0; r < p; ++r) {
+    script(serial, r);
+    retry(serial, r);
+  }
+
+  const std::vector<std::string> names = concurrent.phase_names();
+  EXPECT_EQ(names, serial.phase_names());
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+  EXPECT_EQ(names.size(), phases.size() + 1);
+  for (const std::string& name : names) {
+    const PhaseTraffic a = concurrent.phase(name);
+    const PhaseTraffic b = serial.phase(name);
+    EXPECT_EQ(a.bytes, b.bytes) << name;
+    EXPECT_EQ(a.msgs, b.msgs) << name;
+  }
+  EXPECT_EQ(concurrent.phase("retry").bytes_between(1, 0), 7u);
+  EXPECT_EQ(concurrent.phase_total("alltoall").bytes,
+            serial.phase_total("alltoall").bytes);
+  EXPECT_EQ(concurrent.stage_count("alltoall"), 2);
+  EXPECT_EQ(concurrent.total({"retry"}).msgs, serial.total({"retry"}).msgs);
+
+  // reset() empties every shard, including each shard's last-phase fast
+  // path: a record after the reset, on the phase the shard recorded last,
+  // must start a fresh phase rather than reuse the cleared one.
+  concurrent.record("bcast", 3, 4, 1);
+  concurrent.reset();
+  EXPECT_TRUE(concurrent.phase_names().empty());
+  EXPECT_EQ(concurrent.total().total_msgs(), 0u);
+  concurrent.record("bcast", 3, 4, 5);
+  EXPECT_EQ(concurrent.phase_names(), std::vector<std::string>{"bcast"});
+  EXPECT_EQ(concurrent.phase("bcast").total_bytes(), 5u);
+  EXPECT_EQ(concurrent.phase("bcast").total_msgs(), 1u);
+}
+
+TEST(Traffic, SetPhaseAndAssignmentKeepShardsConsistent) {
+  // set_phase writes one row into every shard; assignment replaces every
+  // shard. Recording afterwards adds to the restored counters.
+  TrafficRecorder rec(3);
+  PhaseTraffic restored(3);
+  restored.bytes[0 * 3 + 1] = 10;
+  restored.bytes[2 * 3 + 0] = 30;
+  restored.msgs[0 * 3 + 1] = 1;
+  restored.msgs[2 * 3 + 0] = 3;
+  rec.record("alltoall", 0, 1, 100);  // primes shard 0's fast path
+  rec.set_phase("alltoall", restored);
+  rec.record("alltoall", 0, 1, 5);
+  EXPECT_EQ(rec.phase("alltoall").bytes_between(0, 1), 15u);
+  EXPECT_EQ(rec.phase("alltoall").bytes_between(2, 0), 30u);
+
+  TrafficRecorder other(3);
+  other.record("bcast", 1, 2, 9);
+  rec = other;
+  EXPECT_EQ(rec.phase_names(), std::vector<std::string>{"bcast"});
+  rec.record("bcast", 1, 2, 1);
+  EXPECT_EQ(rec.phase("bcast").bytes_between(1, 2), 10u);
+  EXPECT_EQ(other.phase("bcast").bytes_between(1, 2), 9u);
 }
 
 }  // namespace
