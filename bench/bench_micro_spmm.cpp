@@ -46,7 +46,7 @@ void BM_SpmmCompactedVsPlain(benchmark::State& state) {
     Matrix z(cb.matrix.n_rows(), f);
     for (auto _ : state) {
       z.set_zero();
-      spmm_compacted_accumulate(cb.matrix, h, z);
+      spmm_accumulate(cb.matrix, h, z);
       benchmark::DoNotOptimize(z.data());
     }
   } else {

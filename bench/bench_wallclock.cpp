@@ -11,22 +11,19 @@
 //     IDENTICAL at every thread count (round-synchronous matching, fixed
 //     chunk boundaries);
 //   * kernel parity: blocked SpMM/GEMM outputs must be bitwise equal to
-//     their single-thread runs, AND the SELL-C-sigma SpMM must be bitwise
-//     equal to the CSR SpMM (sparse/sell.hpp's format contract);
+//     their single-thread runs;
 //   * scaling: with --large on a machine with >= 8 hardware threads, the
 //     CSR SpMM must reach >= 4x speedup at 8 threads (skipped with a
 //     printed notice on smaller hosts — the container this grows in has 1).
 //
 // Violations exit nonzero so CI can gate on this binary. Results are also
 // appended to BENCH_wallclock.json (records: bench, dataset, partitioner,
-// format, threads, seconds, speedup, gbps) which CI uploads as a workflow
+// threads, seconds, speedup, gbps) which CI uploads as a workflow
 // artifact; bench_schema_check validates the record shape.
 //
 // GB/s is algorithmic bytes / seconds: nnz*8 + nnz*f*4 + 2*n*f*4 per SpMM
 // sweep (indices+values once, one gathered H row per nonzero, Z touched
 // twice), and the analogous read/write footprint for the GEMM variants.
-// SELL rows use the SAME byte count as CSR, so its padding overhead shows
-// up as lower effective GB/s rather than being normalized away.
 //
 // Usage: bench_wallclock [--smoke | --large]
 //   --smoke  tiny datasets, threads {1,2} — the CI configuration.
@@ -47,7 +44,6 @@
 #include "common/timer.hpp"
 #include "dense/gemm.hpp"
 #include "graph/generators.hpp"
-#include "sparse/sell.hpp"
 #include "sparse/spmm.hpp"
 
 using namespace sagnn;
@@ -59,7 +55,6 @@ struct Record {
   std::string bench;
   std::string dataset;
   std::string partitioner;  // empty for kernel rows
-  std::string format;       // "csr"/"sell" for kernel rows, empty otherwise
   int threads = 1;
   double seconds = 0;
   double speedup = 1.0;
@@ -74,8 +69,8 @@ void emit_json(const std::string& path) {
   for (std::size_t i = 0; i < g_records.size(); ++i) {
     const Record& r = g_records[i];
     out << "  {\"bench\": \"" << r.bench << "\", \"dataset\": \"" << r.dataset
-        << "\", \"partitioner\": \"" << r.partitioner << "\", \"format\": \""
-        << r.format << "\", \"threads\": " << r.threads
+        << "\", \"partitioner\": \"" << r.partitioner
+        << "\", \"threads\": " << r.threads
         << ", \"seconds\": " << r.seconds << ", \"speedup\": " << r.speedup
         << ", \"gbps\": " << r.gbps << "}"
         << (i + 1 < g_records.size() ? "," : "") << "\n";
@@ -125,8 +120,7 @@ void bench_partitioners(const std::string& name, const CsrMatrix& a,
         std::exit(1);
       }
       const double speedup = seconds > 0 ? base_seconds / seconds : 1.0;
-      g_records.push_back(
-          {"partition", name, pname, "", t, seconds, speedup, 0.0});
+      g_records.push_back({"partition", name, pname, t, seconds, speedup, 0.0});
       table.add_row({pname, std::to_string(t), Table::num(seconds, 4),
                      Table::num(speedup, 3)});
     }
@@ -137,7 +131,7 @@ void bench_partitioners(const std::string& name, const CsrMatrix& a,
 void bench_kernels(const std::string& name, const CsrMatrix& a,
                    const std::vector<int>& thread_counts) {
   print_banner(std::cout, name + " — blocked kernel throughput");
-  Table table({"kernel", "format", "threads", "seconds", "GB/s", "speedup"});
+  Table table({"kernel", "threads", "seconds", "GB/s", "speedup"});
   Rng rng(4242);
   const vid_t n = a.n_rows();
   const vid_t f = 64;
@@ -152,36 +146,21 @@ void bench_kernels(const std::string& name, const CsrMatrix& a,
   const double at_b_bytes = 2 * dn * df * 4 + df * df * 4;
   const double a_bt_bytes = 2 * dn * df * 4 + df * df * 4;
 
-  // The SELL twin is built once (off the clock); the bench measures the
-  // multiply, not the conversion.
-  const SellMatrix sell = SellMatrix::from_csr(a, KernelConfig{});
-
   struct Kernel {
     const char* name;
-    const char* format;
     double bytes;
     std::function<Matrix()> run;
   };
   const std::vector<Kernel> kernels = {
-      {"spmm", "csr", spmm_bytes,
+      {"spmm", spmm_bytes,
        [&] {
          Matrix z(n, f);
          for (int i = 0; i < spmm_iters; ++i) spmm_accumulate(a, h, z);
          return z;
        }},
-      {"spmm", "sell", spmm_bytes,
-       [&] {
-         Matrix z(n, f);
-         for (int i = 0; i < spmm_iters; ++i) spmm_accumulate(sell, h, z);
-         return z;
-       }},
-      {"gemm_at_b", "csr", at_b_bytes, [&] { return gemm_at_b(h, h); }},
-      {"gemm_a_bt", "csr", a_bt_bytes, [&] { return gemm_a_bt(h, w); }},
+      {"gemm_at_b", at_b_bytes, [&] { return gemm_at_b(h, h); }},
+      {"gemm_a_bt", a_bt_bytes, [&] { return gemm_a_bt(h, w); }},
   };
-  // Cross-format parity: the first "spmm" row's single-thread output is
-  // the reference every later spmm row (any format, any thread count) must
-  // match bitwise.
-  Matrix spmm_reference;
   for (const auto& kernel : kernels) {
     double base_seconds = 0;
     Matrix base_out;
@@ -192,29 +171,16 @@ void bench_kernels(const std::string& name, const CsrMatrix& a,
       if (t == thread_counts.front()) {
         base_seconds = seconds;
         base_out = std::move(out);
-        if (std::strcmp(kernel.name, "spmm") == 0) {
-          if (spmm_reference.n_rows() == 0) {
-            spmm_reference = base_out;
-          } else if (!(base_out == spmm_reference)) {
-            std::cerr << "FORMAT PARITY VIOLATION: spmm[" << kernel.format
-                      << "] on " << name
-                      << " is not bitwise identical to spmm[csr]\n";
-            std::exit(1);
-          }
-        }
       } else if (!(out == base_out)) {
-        std::cerr << "PARITY VIOLATION: " << kernel.name << "[" << kernel.format
-                  << "] on " << name << " is not bitwise identical at " << t
-                  << " threads\n";
+        std::cerr << "PARITY VIOLATION: " << kernel.name << " on " << name
+                  << " is not bitwise identical at " << t << " threads\n";
         std::exit(1);
       }
       const double speedup = seconds > 0 ? base_seconds / seconds : 1.0;
       const double gbps = seconds > 0 ? kernel.bytes / seconds / 1e9 : 0.0;
-      g_records.push_back({kernel.name, name, "", kernel.format, t, seconds,
-                           speedup, gbps});
-      table.add_row({kernel.name, kernel.format, std::to_string(t),
-                     Table::num(seconds, 4), Table::num(gbps, 3),
-                     Table::num(speedup, 3)});
+      g_records.push_back({kernel.name, name, "", t, seconds, speedup, gbps});
+      table.add_row({kernel.name, std::to_string(t), Table::num(seconds, 4),
+                     Table::num(gbps, 3), Table::num(speedup, 3)});
     }
   }
   table.print(std::cout);
@@ -230,8 +196,7 @@ void assert_large_scaling(const std::vector<int>& thread_counts) {
   double best = 0;
   std::string best_ds;
   for (const Record& r : g_records) {
-    if (r.bench == "spmm" && r.format == "csr" && r.threads == 8 &&
-        r.speedup > best) {
+    if (r.bench == "spmm" && r.threads == 8 && r.speedup > best) {
       best = r.speedup;
       best_ds = r.dataset;
     }
@@ -241,10 +206,10 @@ void assert_large_scaling(const std::vector<int>& thread_counts) {
               << " hardware threads (need >= 8 for the 4x @ 8-thread gate)\n";
     return;
   }
-  std::cout << "\nscaling assert: best spmm[csr] speedup @ 8 threads = "
+  std::cout << "\nscaling assert: best spmm speedup @ 8 threads = "
             << best << " (" << best_ds << ")\n";
   if (best < 4.0) {
-    std::cerr << "SCALING VIOLATION: spmm[csr] reached only " << best
+    std::cerr << "SCALING VIOLATION: spmm reached only " << best
               << "x at 8 threads (gate: >= 4x)\n";
     std::exit(1);
   }
@@ -264,7 +229,7 @@ int main(int argc, char** argv) {
            "partitioning end-to-end and blocked SpMM/GEMM throughput vs\n"
            "thread count. Partition assignments are asserted identical\n"
            "across thread counts (fixed seed), kernel outputs bitwise\n"
-           "equal across thread counts AND formats — exit 1 on violation.");
+           "equal across thread counts — exit 1 on violation.");
 
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};

@@ -21,7 +21,6 @@ TrainConfig ExperimentSpec::to_train_config(const Dataset& dataset) const {
   cfg.partitioner_options = partitioner_options;
   cfg.cost_model = cost_model;
   cfg.pipeline_chunks = pipeline_chunks;
-  cfg.kernels = kernels;
   if (cfg.cost_model.volume_scale == 1.0) {
     // Calibrate modeled times to the full-size dataset this analogue
     // stands for (see Dataset::sim_scale / CostModel::volume_scale).

@@ -30,9 +30,6 @@ struct ExperimentSpec {
   /// the default 1.0 (see CostModel::volume_scale).
   CostModel cost_model;
   SamplingConfig sampling;
-  /// Local-kernel selection (SpMM storage format; sparse/sell.hpp).
-  /// Bitwise-neutral — results never depend on it.
-  KernelConfig kernels;
 
   // --- checkpoint knobs (src/ckpt/) ---
   /// When non-empty, resume from this checkpoint file instead of building

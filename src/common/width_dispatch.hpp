@@ -1,7 +1,7 @@
 #pragma once
 // Compile-time feature-width specialization: the single runtime dispatch
-// point shared by every width-templated kernel (SpMM over CSR, SpMM over
-// SELL-C-sigma, and the GEMM variants).
+// point shared by every width-templated kernel (the CSR SpMM and the GEMM
+// variants).
 //
 // GCN feature widths are small and highly repetitive — the hidden width is
 // 16 in the paper configuration, and input/output widths cluster around a

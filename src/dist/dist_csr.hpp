@@ -13,7 +13,6 @@
 
 #include "dist/spmm_mode.hpp"
 #include "sparse/blocks.hpp"
-#include "sparse/sell.hpp"
 
 namespace sagnn {
 
@@ -21,10 +20,7 @@ class DistCsr {
  public:
   /// Build rank `rank`'s state for symmetric matrix `a` split into the
   /// contiguous block rows described by `ranges` (which must tile [0, n)).
-  /// `kernels` selects the storage the local SpMM kernels stream
-  /// (bitwise-neutral; SELL conversions are built once here).
-  DistCsr(const CsrMatrix& a, std::span<const BlockRange> ranges, int rank,
-          const KernelConfig& kernels = {});
+  DistCsr(const CsrMatrix& a, std::span<const BlockRange> ranges, int rank);
 
   int n_blocks() const { return static_cast<int>(blocks_.size()); }
   int rank() const { return rank_; }
@@ -36,7 +32,8 @@ class DistCsr {
   const CsrMatrix& plain_block(int j) const {
     return blocks_[static_cast<std::size_t>(j)];
   }
-  /// Column-compacted form of plain_block(j).
+  /// Column-compacted form of plain_block(j). Its column indices address
+  /// rows of the packed buffer that holds only needed_rows(j) of H_j.
   const CompactedBlock& compacted_block(int j) const {
     return compacted_[static_cast<std::size_t>(j)];
   }
@@ -48,22 +45,12 @@ class DistCsr {
   /// receive volume in rows.
   std::uint64_t total_needed_rows_remote() const;
 
-  /// Z += plain_block(j) * H through the configured kernel format.
-  void block_accumulate(int j, const Matrix& h, Matrix& z) const;
-  /// Z += compacted_block(j).matrix * H_packed through the configured
-  /// kernel format (the sparsity-aware remapped-index contract of
-  /// spmm_compacted_accumulate).
-  void compacted_accumulate(int j, const Matrix& h_packed, Matrix& z) const;
-
  private:
   int rank_ = 0;
   BlockRange my_range_;
   std::vector<BlockRange> ranges_;
   std::vector<CsrMatrix> blocks_;
   std::vector<CompactedBlock> compacted_;
-  /// SELL twins of blocks_/compacted_[].matrix; empty on the CSR path.
-  std::vector<SellMatrix> block_sell_;
-  std::vector<SellMatrix> compacted_sell_;
 };
 
 }  // namespace sagnn

@@ -15,13 +15,12 @@ GridLayout GridLayout::make(int p, int c) {
 }
 
 DistSpmm15d::DistSpmm15d(Comm& comm, const CsrMatrix& a,
-                         std::span<const BlockRange> ranges, int c, SpmmMode mode,
-                         const KernelConfig& kernels)
+                         std::span<const BlockRange> ranges, int c, SpmmMode mode)
     : layout_(GridLayout::make(comm.size(), c)),
       grid_row_(layout_.grid_row(comm.rank())),
       grid_col_(layout_.grid_col(comm.rank())),
       mode_(mode),
-      local_(a, ranges, grid_row_, kernels),
+      local_(a, ranges, grid_row_),
       col_comm_(layout_.s == 1
                     ? comm
                     : comm.split([this](int r) { return layout_.grid_col(r); })),
@@ -68,7 +67,7 @@ Matrix DistSpmm15d::multiply(const Matrix& h_local, double* cpu_seconds) {
     bcast<real_t>(col_comm_, j, buf, "bcast");
     ThreadCpuTimer timer;
     const Matrix h_j(rows, f, std::move(buf));
-    local_.block_accumulate(j, h_j, z);
+    spmm_accumulate(local_.plain_block(j), h_j, z);
     if (cpu_seconds != nullptr) *cpu_seconds += timer.seconds();
   }
 
@@ -173,7 +172,7 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
             Matrix(static_cast<vid_t>(block.cols.size()), fc,
                    std::move(received[static_cast<std::size_t>(j)]));
       }
-      local_.compacted_accumulate(j, *packed, z_out);
+      spmm_accumulate(block.matrix, *packed, z_out);
     }
     if (chunked) z.paste_cols(c0, z_chunk);
     if (cpu != nullptr) *cpu += timer.seconds();

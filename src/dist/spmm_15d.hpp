@@ -48,10 +48,9 @@ class DistSpmm15d {
   /// Collective over `comm` (all ranks construct together). `ranges` must
   /// have exactly P/c entries. Communicators are split (or, at c = 1,
   /// copied) here and kept by value, so the object stays usable after the
-  /// constructing call frame. `kernels` selects the local SpMM storage
-  /// format (bitwise-neutral; see sparse/sell.hpp).
+  /// constructing call frame.
   DistSpmm15d(Comm& comm, const CsrMatrix& a, std::span<const BlockRange> ranges,
-              int c, SpmmMode mode, const KernelConfig& kernels = {});
+              int c, SpmmMode mode);
 
   const GridLayout& layout() const { return layout_; }
   const BlockRange& my_range() const { return local_.my_range(); }

@@ -23,8 +23,7 @@ CubeGrid CubeGrid::make(int p, int d) {
 }
 
 DistSpmm3d::DistSpmm3d(Comm& comm, const CsrMatrix& a,
-                       std::span<const BlockRange> ranges, int depth,
-                       SpmmMode mode, const KernelConfig& kernels)
+                       std::span<const BlockRange> ranges, int depth, SpmmMode mode)
     : grid_(CubeGrid::make(comm.size(), depth)),
       layer_(grid_.layer(comm.rank())),
       grid_row_(grid_.grid_row(comm.rank())),
@@ -49,10 +48,6 @@ DistSpmm3d::DistSpmm3d(Comm& comm, const CsrMatrix& a,
   tile_ = std::move(
       split_block_cols(row_block, ranges)[static_cast<std::size_t>(grid_col_)]);
   compacted_ = compact_columns(tile_);
-  if (kernels.format == SpmmFormat::kSell) {
-    tile_sell_ = SellMatrix::from_csr(tile_, kernels);
-    compacted_sell_ = SellMatrix::from_csr(compacted_.matrix, kernels);
-  }
 }
 
 Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
@@ -76,18 +71,10 @@ Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
     if (mode_ == SpmmMode::kSparsityAware) {
       if (compacted_.matrix.nnz() > 0) {
         const Matrix packed = x.gather_rows(compacted_.cols);
-        if (compacted_sell_) {
-          spmm_accumulate(*compacted_sell_, packed, z);
-        } else {
-          spmm_compacted_accumulate(compacted_.matrix, packed, z);
-        }
+        spmm_accumulate(compacted_.matrix, packed, z);
       }
     } else {
-      if (tile_sell_) {
-        spmm_accumulate(*tile_sell_, x, z);
-      } else {
-        spmm_accumulate(tile_, x, z);
-      }
+      spmm_accumulate(tile_, x, z);
     }
   }
   if (cpu_seconds != nullptr) *cpu_seconds += timer.seconds();

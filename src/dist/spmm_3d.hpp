@@ -50,9 +50,8 @@ struct CubeGrid {
 class DistSpmm3d {
  public:
   /// Collective over `comm`; `ranges` must have exactly q entries.
-  /// `kernels` selects the local SpMM storage format (bitwise-neutral).
   DistSpmm3d(Comm& comm, const CsrMatrix& a, std::span<const BlockRange> ranges,
-             int depth, SpmmMode mode, const KernelConfig& kernels = {});
+             int depth, SpmmMode mode);
 
   const CubeGrid& grid() const { return grid_; }
   SpmmMode mode() const { return mode_; }
@@ -89,10 +88,6 @@ class DistSpmm3d {
   BlockRange output_range_;
   CsrMatrix tile_;           ///< Â_{ij}, columns localized to block j
   CompactedBlock compacted_; ///< column-compacted tile (sparsity-aware kernel)
-  /// SELL twins of tile_/compacted_.matrix (sparse/sell.hpp); disengaged on
-  /// the default CSR path.
-  std::optional<SellMatrix> tile_sell_;
-  std::optional<SellMatrix> compacted_sell_;
   Comm world_;               ///< copy of the constructing communicator
   Comm row_comm_;            ///< same (layer, grid row); comm rank == grid col
   Comm fiber_comm_;          ///< same (grid row, grid col); comm rank == layer

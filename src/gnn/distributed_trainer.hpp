@@ -60,8 +60,7 @@ class DistributedTrainer final : public Trainer {
   struct RankState;
 
   StrategyContext context() const {
-    return {config_.p,  config_.c, &a_, ranges_, config_.pipeline_chunks,
-            config_.kernels};
+    return {config_.p, config_.c, &a_, ranges_, config_.pipeline_chunks};
   }
   /// Partition + permute the dataset for config_.p/c and spin up a fresh
   /// cluster with per-rank strategy setup. The constructor's body, also

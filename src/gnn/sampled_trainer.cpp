@@ -10,12 +10,10 @@
 namespace sagnn {
 
 SampledTrainer::SampledTrainer(const Dataset& dataset, GcnConfig config,
-                               SamplingConfig sampling,
-                               const KernelConfig& kernels)
+                               SamplingConfig sampling)
     : dataset_(dataset),
       config_(std::move(config)),
       sampling_(std::move(sampling)),
-      adjacency_(dataset.adjacency, kernels),
       model_(config_),
       rng_(sampling_.seed) {
   SAGNN_REQUIRE(config_.dims.front() == dataset.n_features(),
@@ -240,7 +238,7 @@ LossStats SampledTrainer::evaluate() const {
   Matrix h = dataset_.features;
   GcnModel model_copy = model_;  // forward() caches; keep eval const
   for (int l = 0; l < model_copy.n_layers(); ++l) {
-    Matrix m = spmm(adjacency_, h);
+    Matrix m = spmm(dataset_.adjacency, h);
     h = model_copy.layer(l).forward(std::move(m));
   }
   return softmax_xent_stats(h, dataset_.labels, dataset_.train_mask);

@@ -36,11 +36,7 @@ struct SampledEpochMetrics {
 
 class SampledTrainer final : public Trainer {
  public:
-  /// `kernels` selects the SpMM format for the full-graph evaluate() pass
-  /// (per-batch blocks stay CSR: they are built and discarded per batch,
-  /// so a SELL conversion would cost more than it saves).
-  SampledTrainer(const Dataset& dataset, GcnConfig config,
-                 SamplingConfig sampling, const KernelConfig& kernels = {});
+  SampledTrainer(const Dataset& dataset, GcnConfig config, SamplingConfig sampling);
 
   std::string name() const override { return "sampled"; }
   int epochs_run() const override {
@@ -87,8 +83,6 @@ class SampledTrainer final : public Trainer {
   const Dataset& dataset_;
   GcnConfig config_;
   SamplingConfig sampling_;
-  /// The full adjacency in the configured kernel format (evaluate() only).
-  SpmmOperand adjacency_;
   GcnModel model_;
   Rng rng_;
   std::vector<vid_t> train_vertices_;

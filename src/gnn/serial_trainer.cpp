@@ -4,12 +4,8 @@
 
 namespace sagnn {
 
-SerialTrainer::SerialTrainer(const Dataset& dataset, GcnConfig config,
-                             const KernelConfig& kernels)
-    : dataset_(dataset),
-      config_(std::move(config)),
-      adjacency_(dataset.adjacency, kernels),
-      model_(config_) {
+SerialTrainer::SerialTrainer(const Dataset& dataset, GcnConfig config)
+    : dataset_(dataset), config_(std::move(config)), model_(config_) {
   SAGNN_REQUIRE(config_.dims.front() == dataset.n_features(),
                 "config input width must match dataset features");
   SAGNN_REQUIRE(config_.dims.back() == dataset.n_classes,
@@ -23,7 +19,7 @@ Matrix SerialTrainer::forward() {
                                config_.seed ^ (0x9e37ull * (epoch_ + 1)), 0);
   }
   for (int l = 0; l < model_.n_layers(); ++l) {
-    Matrix m = spmm(adjacency_, h);
+    Matrix m = spmm(dataset_.adjacency, h);
     h = model_.layer(l).forward(std::move(m));
   }
   return h;
@@ -41,7 +37,7 @@ EpochMetrics SerialTrainer::run_epoch() {
   for (int l = model_.n_layers() - 1; l >= 0; --l) {
     auto back = model_.layer(l).backward(d_h);
     d_weights[static_cast<std::size_t>(l)] = std::move(back.d_weights);
-    if (l > 0) d_h = spmm(adjacency_, back.d_m);
+    if (l > 0) d_h = spmm(dataset_.adjacency, back.d_m);
   }
   for (int l = 0; l < model_.n_layers(); ++l) {
     model_.layer(l).apply_gradient(d_weights[static_cast<std::size_t>(l)],

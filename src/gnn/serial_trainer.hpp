@@ -8,17 +8,13 @@
 
 #include "gnn/loss.hpp"
 #include "gnn/trainer.hpp"
-#include "sparse/sell.hpp"
 #include "sparse/spmm.hpp"
 
 namespace sagnn {
 
 class SerialTrainer final : public Trainer {
  public:
-  /// `kernels` selects the SpMM storage format (sparse/sell.hpp);
-  /// bitwise-neutral, default CSR.
-  SerialTrainer(const Dataset& dataset, GcnConfig config,
-                const KernelConfig& kernels = {});
+  SerialTrainer(const Dataset& dataset, GcnConfig config);
 
   std::string name() const override { return "serial"; }
   int epochs_run() const override { return epoch_; }
@@ -46,8 +42,6 @@ class SerialTrainer final : public Trainer {
  private:
   const Dataset& dataset_;
   GcnConfig config_;
-  /// The adjacency in the configured kernel format (views dataset_'s CSR).
-  SpmmOperand adjacency_;
   GcnModel model_;
   int epoch_ = 0;  ///< epochs completed; drives the per-epoch dropout seed
   std::vector<EpochMetrics> metrics_;

@@ -79,7 +79,7 @@ class RowReplicated final : public DistributionStrategy {
       chunks_ = ctx.pipeline_chunks;
     }
     spmm_ = std::make_unique<DistSpmm15d>(comm, *ctx.adjacency, ctx.ranges,
-                                          width(ctx.c), mode_, ctx.kernels);
+                                          width(ctx.c), mode_);
   }
 
   void begin_epoch() override { stage_ = 0; }
@@ -205,7 +205,7 @@ class Grid final : public DistributionStrategy {
 
   void setup(Comm& comm, const StrategyContext& ctx) override {
     spmm_ = std::make_unique<DistSpmm3d>(comm, *ctx.adjacency, ctx.ranges,
-                                         depth(ctx.c), mode_, ctx.kernels);
+                                         depth(ctx.c), mode_);
   }
 
   Matrix propagate_forward(const Matrix& x_local, double* cpu_seconds) override {

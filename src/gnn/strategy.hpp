@@ -20,6 +20,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/registry.hpp"
@@ -27,9 +28,15 @@
 #include "simcomm/collectives.hpp"
 #include "simcomm/cost_model.hpp"
 #include "sparse/blocks.hpp"
-#include "sparse/sell.hpp"
 
 namespace sagnn {
+
+/// Empty: every local SpMM runs the CSR kernel, so there is nothing to
+/// select. It remains the type of TrainConfig::kernels and
+/// StrategyContext::kernels only because perfbench/train.cpp still fills
+/// them; nothing in src/ reads either field.
+struct KernelConfig {};
+static_assert(std::is_empty_v<KernelConfig>);
 
 /// Immutable job-level description shared by all ranks: the (already
 /// partitioned and symmetrically permuted) adjacency and its block rows.
@@ -41,8 +48,7 @@ struct StrategyContext {
   /// Column-chunk count for pipelined strategies ("1d-overlap",
   /// "1.5d-overlap"); bulk-synchronous strategies ignore it.
   int pipeline_chunks = 4;
-  /// Local-kernel selection forwarded to the distributed SpMM layers
-  /// (sparse/sell.hpp); bitwise-neutral.
+  /// Unread; see the comment on its type.
   KernelConfig kernels{};
 };
 

@@ -117,10 +117,9 @@ std::unique_ptr<Trainer> TrainerBuilder::instantiate(TrainConfig cfg) const {
   }
   std::unique_ptr<Trainer> trainer;
   if (cfg.strategy == "serial") {
-    trainer = std::make_unique<SerialTrainer>(ds, cfg.gcn, cfg.kernels);
+    trainer = std::make_unique<SerialTrainer>(ds, cfg.gcn);
   } else if (cfg.strategy == "sampled") {
-    trainer =
-        std::make_unique<SampledTrainer>(ds, cfg.gcn, cfg.sampling, cfg.kernels);
+    trainer = std::make_unique<SampledTrainer>(ds, cfg.gcn, cfg.sampling);
   } else {
     // Any other name resolves against the distribution-strategy registry;
     // unknown names raise std::invalid_argument listing the registered ones.
@@ -165,9 +164,6 @@ std::unique_ptr<Trainer> TrainerBuilder::resume(std::istream& in) const {
   }
   if (set_.threads) cfg.threads = config_.threads;
   if (set_.pipeline_chunks) cfg.pipeline_chunks = config_.pipeline_chunks;
-  // Kernel format is a runtime knob that never enters the snapshot
-  // (bitwise-neutral); the resuming builder re-arms it explicitly.
-  if (set_.kernels) cfg.kernels = config_.kernels;
   if (set_.epochs) cfg.gcn.epochs = config_.gcn.epochs;
   if (set_.cost_model) cfg.cost_model = config_.cost_model;
   // Auto-checkpointing is a runtime knob that never enters the snapshot;

@@ -32,13 +32,13 @@
 #include <vector>
 
 #include "gnn/model.hpp"
+#include "gnn/strategy.hpp"
 #include "graph/datasets.hpp"
 #include "partition/metrics.hpp"
 #include "partition/partition.hpp"
 #include "plan/planner.hpp"
 #include "simcomm/cost_model.hpp"
 #include "simcomm/fault.hpp"
-#include "sparse/sell.hpp"
 
 namespace sagnn {
 
@@ -252,12 +252,7 @@ struct TrainConfig {
   /// "1.5d-overlap"); bulk-synchronous strategies ignore it.
   int pipeline_chunks = 4;
 
-  /// Local-kernel selection (sparse/sell.hpp): which storage the SpMM
-  /// kernels stream (CSR default, or SELL-C-sigma built once per operand).
-  /// Never affects training math — both formats are bitwise identical — so
-  /// it is a runtime knob, deliberately NOT serialized into checkpoints
-  /// (same doctrine as auto_checkpoint/fault_plan): a resumed run re-arms
-  /// it explicitly via TrainerBuilder::kernels().
+  /// Unread; see the comment on its type in gnn/strategy.hpp.
   KernelConfig kernels;
 
   /// Periodic auto-checkpointing inside train(): every
@@ -328,13 +323,6 @@ class TrainerBuilder {
   TrainerBuilder& pipeline_chunks(int chunks) {
     config_.pipeline_chunks = chunks;
     set_.pipeline_chunks = true;
-    return *this;
-  }
-  /// Local-kernel selection: SpMM storage format and SELL-C-sigma shape
-  /// (see TrainConfig::kernels). Bitwise-neutral; runtime-only on resume.
-  TrainerBuilder& kernels(KernelConfig cfg) {
-    config_.kernels = cfg;
-    set_.kernels = true;
     return *this;
   }
   /// Arm periodic auto-checkpointing: train() snapshots to `path` every
@@ -434,7 +422,6 @@ class TrainerBuilder {
     bool partitioner = false;
     bool threads = false;
     bool pipeline_chunks = false;
-    bool kernels = false;
     bool epochs = false;
     bool cost_model = false;
     bool auto_checkpoint = false;

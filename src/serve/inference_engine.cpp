@@ -32,15 +32,12 @@ std::vector<real_t> row_times_weights(const std::vector<real_t>& m,
 
 }  // namespace
 
-InferenceEngine::InferenceEngine(GcnModel model, Matrix features,
-                                 GraphMutator& graph,
-                                 std::size_t cache_capacity_bytes,
-                                 const KernelConfig& kernels)
+InferenceEngine::InferenceEngine(GcnModel model, Matrix features, GraphMutator& graph,
+                                 std::size_t cache_capacity_bytes)
     : model_(std::move(model)),
       features_(std::move(features)),
       graph_(graph),
-      cache_(cache_capacity_bytes),
-      kernels_(kernels) {
+      cache_(cache_capacity_bytes) {
   SAGNN_REQUIRE(model_.n_layers() >= 1, "model has no layers");
   SAGNN_REQUIRE(features_.n_rows() == graph_.n(),
                 "feature matrix must have one row per vertex");
@@ -151,11 +148,10 @@ Matrix InferenceEngine::infer_batch(std::span<const vid_t> nodes) {
 
 Matrix InferenceEngine::full_forward() const {
   const CsrMatrix a = graph_.materialize();
-  const SpmmOperand op(a, kernels_);
   Matrix h = features_;
   for (int l = 0; l < model_.n_layers(); ++l) {
     const GcnLayer& layer = model_.layer(l);
-    Matrix m = spmm(op, h);
+    Matrix m = spmm(a, h);
     Matrix z = gemm(m, layer.weights());
     h = layer.has_relu() ? relu(z) : std::move(z);
   }

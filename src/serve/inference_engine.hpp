@@ -39,7 +39,6 @@
 #include "gnn/model.hpp"
 #include "serve/agg_cache.hpp"
 #include "serve/graph_mutator.hpp"
-#include "sparse/sell.hpp"
 
 namespace sagnn::serve {
 
@@ -48,12 +47,9 @@ class InferenceEngine {
   /// `graph` must outlive the engine. `features` is H⁰ (one row per
   /// vertex); `cache_capacity_bytes` bounds the aggregation cache
   /// (0 disables caching). The engine subscribes to the mutator's dirty
-  /// notifications for exact cache invalidation. `kernels` selects the
-  /// SpMM format full_forward() streams (sparse/sell.hpp; bitwise-neutral,
-  /// so the contract above is unchanged by it).
+  /// notifications for exact cache invalidation.
   InferenceEngine(GcnModel model, Matrix features, GraphMutator& graph,
-                  std::size_t cache_capacity_bytes,
-                  const KernelConfig& kernels = {});
+                  std::size_t cache_capacity_bytes);
   ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
@@ -91,9 +87,6 @@ class InferenceEngine {
   Matrix features_;
   GraphMutator& graph_;
   AggregationCache cache_;
-  /// Format knob for full_forward()'s SpMM; the operand is rebuilt per
-  /// call because materialize() folds the current overlay each time.
-  KernelConfig kernels_;
 };
 
 }  // namespace sagnn::serve

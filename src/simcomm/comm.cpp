@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <limits>
 #include <map>
 #include <thread>
 #include <tuple>
@@ -18,8 +17,6 @@ namespace comm_detail {
 /// An arrived message nobody has claimed yet.
 struct Message {
   std::uint64_t seq;  ///< position in the (src, tag) arrival stream
-  /// Deposit time as a timed wait needs it (see arrival_stamp()).
-  double sent_at;
   std::vector<std::byte> data;
 };
 
@@ -112,20 +109,6 @@ namespace {
 
 std::chrono::duration<double> secs(double s) {
   return std::chrono::duration<double>(s);
-}
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// sent_at of a message deposited into slot `seq`, read only when a timed
-/// wait can use it. WaitStats::hidden is min(wait_begin, sent_at) -
-/// posted_at clamped at 0, so an arrival before the receive was posted
-/// hides nothing (-inf) and one that lands while the owner is blocked on
-/// this very slot came after wait_begin (+inf). Only an arrival between
-/// post and wait reads the clock — and a blocking recv has no such window.
-double arrival_stamp(const Mailbox& box, const Stream& stream, std::uint64_t seq) {
-  if (seq >= stream.next_posted) return -kInf;
-  if (box.awaits(stream, seq)) return kInf;
-  return CommWorld::now_seconds();
 }
 
 /// Registers the owner as blocked on one slot for the scope of one cv
@@ -239,13 +222,11 @@ Request CommWorld::isend(int src, int dst, long tag,
       dropped = true;
       wake = box.awaits(stream, seq);
     } else {
-      const double sent_at = arrival_stamp(box, stream, seq);
-      (void)stream.deliver(Message{seq, sent_at, {data.begin(), data.end()}});
+      (void)stream.deliver(Message{seq, {data.begin(), data.end()}});
       if (plan != nullptr && plan->should_duplicate(src, dst, tag, seq, 1)) {
         // A flaky link delivers twice; the redundant copy must be
         // suppressed by its sequence number.
-        duplicated =
-            !stream.deliver(Message{seq, sent_at, {data.begin(), data.end()}});
+        duplicated = !stream.deliver(Message{seq, {data.begin(), data.end()}});
       }
       wake = box.awaits(stream, seq);
     }
@@ -253,7 +234,7 @@ Request CommWorld::isend(int src, int dst, long tag,
   if (dropped) traffic_.record_fault_drop();
   if (duplicated) traffic_.record_fault_duplicate();
   if (wake) box.cv.notify_one();
-  return Request(this, Request::Kind::kSend, nullptr, nullptr, src, tag, 0, 0);
+  return Request(this, Request::Kind::kSend, nullptr, nullptr, src, tag, 0);
 }
 
 Request CommWorld::irecv(int me, int src, long tag) {
@@ -267,8 +248,7 @@ Request CommWorld::irecv(int me, int src, long tag) {
     stream = &box.stream(src, tag);
     seq = stream->next_posted++;
   }
-  return Request(this, Request::Kind::kRecv, &box, stream, src, tag, seq,
-                 now_seconds());
+  return Request(this, Request::Kind::kRecv, &box, stream, src, tag, seq);
 }
 
 void CommWorld::send(int src, int dst, long tag, std::span<const std::byte> data,
@@ -283,13 +263,13 @@ std::vector<std::byte> CommWorld::recv(int me, int src, long tag) {
   std::unique_lock lock(box.mutex);
   Stream& stream = box.stream(src, tag);
   const std::uint64_t seq = stream.next_posted++;
-  return wait_recv(lock, box, stream, src, tag, seq, 0, nullptr);
+  return wait_recv(lock, box, stream, src, tag, seq, nullptr);
 }
 
 std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
                                             Mailbox& box, Stream& stream, int src,
                                             long tag, std::uint64_t seq,
-                                            double posted_at, WaitStats* stats) {
+                                            WaitStats* stats) {
   const double wait_begin = stats != nullptr ? now_seconds() : 0;
   const int me = box.rank;
   const FaultPlan* plan = fault_plan_.get();
@@ -297,14 +277,7 @@ std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
   for (;;) {
     auto it = stream.find(seq);
     if (it != stream.arrived.end()) {
-      if (stats != nullptr) {
-        // Hidden: in-flight time covered before wait() was entered (clamped
-        // to the post time — a message sent before the receive was posted
-        // hid nothing). Blocked: the stall inside this wait.
-        stats->hidden =
-            std::max(0.0, std::min(wait_begin, it->sent_at) - posted_at);
-        stats->blocked = std::max(0.0, now_seconds() - wait_begin);
-      }
+      if (stats != nullptr) stats->blocked = std::max(0.0, now_seconds() - wait_begin);
       std::vector<std::byte> data = std::move(it->data);
       stream.arrived.erase(it);
       return data;
@@ -371,8 +344,7 @@ std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
       traffic_.record_fault_drop();
       continue;  // dropped again; the next cycle backs off longer
     }
-    // It lands during this wait, i.e. after wait_begin (+inf).
-    Message msg{seq, kInf, std::move(parked->second.data)};
+    Message msg{seq, std::move(parked->second.data)};
     box.dropped.erase(parked);
     if (plan->should_duplicate(src, me, tag, seq, attempt)) {
       Message copy = msg;
@@ -413,8 +385,7 @@ std::vector<std::byte> Request::wait(WaitStats* stats) {
     return {};
   }
   std::unique_lock lock(box_->mutex);
-  return world_->wait_recv(lock, *box_, *stream_, src_, tag_, seq_, posted_at_,
-                           stats);
+  return world_->wait_recv(lock, *box_, *stream_, src_, tag_, seq_, stats);
 }
 
 void Request::release() {
@@ -450,10 +421,7 @@ std::vector<std::vector<std::byte>> waitall(std::span<Request> requests,
       resolve_aborted(requests);
       throw;
     }
-    if (accumulated != nullptr) {
-      accumulated->hidden += stats.hidden;
-      accumulated->blocked += stats.blocked;
-    }
+    if (accumulated != nullptr) accumulated->blocked += stats.blocked;
   }
   return payloads;
 }

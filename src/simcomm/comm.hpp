@@ -34,8 +34,9 @@
 // irecv and recv each cost one hash lookup, and a Request keeps its stream
 // for wait() and abandon. A blocked receiver records the one slot it
 // awaits, and isend wakes it only when it deposits (or a lossy link parks)
-// that slot. The clock is read only for Request::wait(&stats): blocking
-// recv never touches it.
+// that slot. Apart from lossy-link retry deadlines, the runtime reads the
+// clock only inside Request::wait(&stats), on entry and on completion, to
+// measure WaitStats::blocked: irecv, isend and blocking recv never touch it.
 //
 // Tag space: user tags must be < kUserTagLimit. Internal operations
 // (barriers, collectives) use reserved offsets above that, further prefixed
@@ -80,12 +81,9 @@ class RequestError : public Error {
   explicit RequestError(const std::string& msg) : Error("request error: " + msg) {}
 };
 
-/// Wall-clock decomposition of one completed wait (steady-clock seconds).
-/// `hidden` is in-flight time that elapsed before wait() was entered (the
-/// overlap a pipelined schedule earned); `blocked` is time actually stalled
-/// inside wait() for the message to arrive.
+/// Wall-clock cost of one completed wait (steady-clock seconds): `blocked`
+/// is the time actually stalled inside wait() for the message to arrive.
 struct WaitStats {
-  double hidden = 0;
   double blocked = 0;
 };
 
@@ -117,8 +115,7 @@ class Request {
   /// until the matching message arrives); sends return an empty vector
   /// immediately (eager runtime). Throws AbortedError if the world aborts
   /// while pending, RequestError on double-wait or an empty handle. When
-  /// `stats` is non-null it receives the hidden/blocked decomposition of
-  /// this wait.
+  /// `stats` is non-null it receives the blocked time of this wait.
   std::vector<std::byte> wait(WaitStats* stats = nullptr);
 
  private:
@@ -127,8 +124,7 @@ class Request {
   enum class Kind : std::uint8_t { kSend, kRecv };
 
   Request(CommWorld* world, Kind kind, comm_detail::Mailbox* box,
-          comm_detail::Stream* stream, int src, long tag, std::uint64_t seq,
-          double posted_at)
+          comm_detail::Stream* stream, int src, long tag, std::uint64_t seq)
       : world_(world),
         state_(State::kPending),
         kind_(kind),
@@ -136,8 +132,7 @@ class Request {
         stream_(stream),
         src_(src),
         tag_(tag),
-        seq_(seq),
-        posted_at_(posted_at) {}
+        seq_(seq) {}
 
   void move_from(Request& other) {
     world_ = other.world_;
@@ -148,7 +143,6 @@ class Request {
     src_ = other.src_;
     tag_ = other.tag_;
     seq_ = other.seq_;
-    posted_at_ = other.posted_at_;
     other.world_ = nullptr;
     other.state_ = State::kEmpty;
   }
@@ -163,7 +157,6 @@ class Request {
   int src_ = -1;
   long tag_ = 0;
   std::uint64_t seq_ = 0;
-  double posted_at_ = 0;
 };
 
 class CommWorld {
@@ -231,8 +224,7 @@ class CommWorld {
   std::vector<std::byte> wait_recv(std::unique_lock<std::mutex>& lock,
                                    comm_detail::Mailbox& box,
                                    comm_detail::Stream& stream, int src, long tag,
-                                   std::uint64_t seq, double posted_at,
-                                   WaitStats* stats);
+                                   std::uint64_t seq, WaitStats* stats);
   /// Request destructor path: drop the slot without corrupting the stream.
   void abandon_recv(comm_detail::Mailbox& box, comm_detail::Stream& stream,
                     int src, long tag, std::uint64_t seq);
@@ -250,8 +242,8 @@ class CommWorld {
 };
 
 /// Wait on every request in order; returns the payloads (empty vectors for
-/// sends). When `accumulated` is non-null the per-request hidden/blocked
-/// times are summed into it. If the world aborts mid-batch, every
+/// sends). When `accumulated` is non-null the per-request blocked times
+/// are summed into it. If the world aborts mid-batch, every
 /// remaining handle is resolved to AbortedError too (no stream slot is
 /// left to be abandoned against the torn-down world) and the AbortedError
 /// is rethrown.

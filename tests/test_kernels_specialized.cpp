@@ -2,7 +2,8 @@
 // specialized width (16/32/64/128) AND the generic runtime-f fallback must
 // be bitwise equal to the serial *_reference twins — across feature widths
 // straddling the dispatch table, degenerate row counts, empty rows, dense
-// rows, all-zero matrices, and thread counts {1, 2, 8}. Matrix::operator==
+// rows, all-equal row degrees, all-zero matrices, and thread counts
+// {1, 2, 8}. Matrix::operator==
 // is exact element equality — no tolerance anywhere in this file.
 #include <gtest/gtest.h>
 
@@ -60,6 +61,19 @@ CsrMatrix ragged_csr(vid_t n_rows, vid_t n_cols, std::uint64_t seed) {
   return CsrMatrix::from_coo(coo);
 }
 
+/// Every row exactly `deg` entries: nnz-balanced row blocks are then
+/// row-count balanced too.
+CsrMatrix regular_csr(vid_t n_rows, vid_t n_cols, int deg, std::uint64_t seed) {
+  Rng rng(seed);
+  CooMatrix coo(n_rows, n_cols);
+  for (vid_t r = 0; r < n_rows; ++r) {
+    for (int d = 0; d < deg; ++d) {
+      coo.add(r, (r + static_cast<vid_t>(d) * 7 + 1) % n_cols, rng.uniform(-2, 2));
+    }
+  }
+  return CsrMatrix::from_coo(coo);
+}
+
 TEST(SpecializedKernels, DispatchTableRoutesEveryWidth) {
   // The probe kernel just reports which instantiation it is — a direct
   // unit test of the single dispatch point.
@@ -96,16 +110,17 @@ TEST(SpecializedKernels, SpmmWidthSweepBitwiseMatchesReference) {
 TEST(SpecializedKernels, SpmmEmptyAndDenseRows) {
   ThreadCountGuard guard;
   Rng rng(72);
-  const CsrMatrix a = ragged_csr(64, 33, 73);
-  for (const vid_t f : kWidths) {
-    const Matrix h = Matrix::random_uniform(33, f, rng);
-    Matrix want(64, f);
-    spmm_accumulate_reference(a, h, want);
-    for (int t : kThreadCounts) {
-      set_parallel_threads(t);
-      Matrix got(64, f);
-      spmm_accumulate(a, h, got);
-      EXPECT_TRUE(got == want) << "f=" << f << " threads=" << t;
+  for (const CsrMatrix& a : {ragged_csr(64, 33, 73), regular_csr(64, 33, 3, 74)}) {
+    for (const vid_t f : kWidths) {
+      const Matrix h = Matrix::random_uniform(33, f, rng);
+      Matrix want(64, f);
+      spmm_accumulate_reference(a, h, want);
+      for (int t : kThreadCounts) {
+        set_parallel_threads(t);
+        Matrix got(64, f);
+        spmm_accumulate(a, h, got);
+        EXPECT_TRUE(got == want) << "nnz=" << a.nnz() << " f=" << f << " threads=" << t;
+      }
     }
   }
 }

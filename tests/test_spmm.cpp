@@ -100,7 +100,7 @@ TEST(Spmm, CompactedBlockMatchesFullBlock) {
   const CompactedBlock cb = compact_columns(block);
   const Matrix h_packed = h.gather_rows(cb.cols);
   Matrix z(block.n_rows(), 8);
-  spmm_compacted_accumulate(cb.matrix, h_packed, z);
+  spmm_accumulate(cb.matrix, h_packed, z);
 
   EXPECT_EQ(full.max_abs_diff(z), 0.0);
 }
