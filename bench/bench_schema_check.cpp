@@ -160,8 +160,8 @@ struct Parser {
 /// parse as a non-empty array of objects.
 const std::map<std::string, std::vector<std::string>> kRequiredKeys = {
     {"BENCH_wallclock.json",
-     {"bench", "dataset", "partitioner", "threads", "seconds", "speedup",
-      "gbps"}},
+     {"bench", "dataset", "partitioner", "width", "threads", "seconds",
+      "speedup", "gbps"}},
 };
 
 bool check_file(const std::filesystem::path& path) {

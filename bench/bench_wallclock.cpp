@@ -1,7 +1,8 @@
 // Wall-clock scaling of the thread-pool parallel runtime: multilevel
-// partitioning end-to-end and the blocked SpMM / tiled GEMM kernels, swept
+// partitioning end-to-end and the blocked SpMM / GEMM kernels, swept
 // across thread counts — on the synthetic datasets, and with --large on
-// streamed multi-million-edge graphs (rmat_csr / powerlaw_csr).
+// streamed multi-million-edge graphs (rmat_csr / powerlaw_csr). Kernels
+// run at feature width 16, the paper's hidden width, and at 64.
 //
 // Unlike every other bench (which reports alpha-beta MODELED times), this
 // one measures real seconds — it seeds the perf trajectory with hardware
@@ -18,17 +19,19 @@
 //
 // Violations exit nonzero so CI can gate on this binary. Results are also
 // appended to BENCH_wallclock.json (records: bench, dataset, partitioner,
-// threads, seconds, speedup, gbps) which CI uploads as a workflow
-// artifact; bench_schema_check validates the record shape.
+// width, threads, seconds, speedup, gbps; width is 0 for partition rows)
+// which CI uploads as a workflow artifact; bench_schema_check validates
+// the record shape.
 //
 // GB/s is algorithmic bytes / seconds: nnz*8 + nnz*f*4 + 2*n*f*4 per SpMM
 // sweep (indices+values once, one gathered H row per nonzero, Z touched
-// twice), and the analogous read/write footprint for the GEMM variants.
+// twice), and the analogous read/write footprint for the GEMM variants
+// (gemm is C = H·W, gemm_at_b is Hᵀ·H, gemm_a_bt is H·Wᵀ).
 //
 // Usage: bench_wallclock [--smoke | --large]
 //   --smoke  tiny datasets, threads {1,2} — the CI configuration.
 //   --large  streamed generator graphs (millions of edges), threads
-//            {1,2,4,8}, scaling self-assert armed.
+//            {1,2,4,8}, scaling self-assert armed (spmm at width 64).
 
 #include <algorithm>
 #include <cstring>
@@ -55,6 +58,7 @@ struct Record {
   std::string bench;
   std::string dataset;
   std::string partitioner;  // empty for kernel rows
+  vid_t width = 0;          // feature width; 0 for partition rows
   int threads = 1;
   double seconds = 0;
   double speedup = 1.0;
@@ -70,7 +74,7 @@ void emit_json(const std::string& path) {
     const Record& r = g_records[i];
     out << "  {\"bench\": \"" << r.bench << "\", \"dataset\": \"" << r.dataset
         << "\", \"partitioner\": \"" << r.partitioner
-        << "\", \"threads\": " << r.threads
+        << "\", \"width\": " << r.width << ", \"threads\": " << r.threads
         << ", \"seconds\": " << r.seconds << ", \"speedup\": " << r.speedup
         << ", \"gbps\": " << r.gbps << "}"
         << (i + 1 < g_records.size() ? "," : "") << "\n";
@@ -120,7 +124,7 @@ void bench_partitioners(const std::string& name, const CsrMatrix& a,
         std::exit(1);
       }
       const double speedup = seconds > 0 ? base_seconds / seconds : 1.0;
-      g_records.push_back({"partition", name, pname, t, seconds, speedup, 0.0});
+      g_records.push_back({"partition", name, pname, 0, t, seconds, speedup, 0.0});
       table.add_row({pname, std::to_string(t), Table::num(seconds, 4),
                      Table::num(speedup, 3)});
     }
@@ -131,64 +135,68 @@ void bench_partitioners(const std::string& name, const CsrMatrix& a,
 void bench_kernels(const std::string& name, const CsrMatrix& a,
                    const std::vector<int>& thread_counts) {
   print_banner(std::cout, name + " — blocked kernel throughput");
-  Table table({"kernel", "threads", "seconds", "GB/s", "speedup"});
+  Table table({"kernel", "width", "threads", "seconds", "GB/s", "speedup"});
   Rng rng(4242);
   const vid_t n = a.n_rows();
-  const vid_t f = 64;
-  const Matrix h = Matrix::random_uniform(n, f, rng);
-  const Matrix w = Matrix::random_uniform(f, f, rng);
   const int spmm_iters = 5;
-  const double dn = static_cast<double>(n), df = static_cast<double>(f);
+  const double dn = static_cast<double>(n);
   const double dnnz = static_cast<double>(a.nnz());
-  // Algorithmic traffic per run() call (see the file comment).
-  const double spmm_bytes =
-      spmm_iters * (dnnz * 8 + dnnz * df * 4 + 2 * dn * df * 4);
-  const double at_b_bytes = 2 * dn * df * 4 + df * df * 4;
-  const double a_bt_bytes = 2 * dn * df * 4 + df * df * 4;
-
   struct Kernel {
     const char* name;
     double bytes;
     std::function<Matrix()> run;
   };
-  const std::vector<Kernel> kernels = {
-      {"spmm", spmm_bytes,
-       [&] {
-         Matrix z(n, f);
-         for (int i = 0; i < spmm_iters; ++i) spmm_accumulate(a, h, z);
-         return z;
-       }},
-      {"gemm_at_b", at_b_bytes, [&] { return gemm_at_b(h, h); }},
-      {"gemm_a_bt", a_bt_bytes, [&] { return gemm_a_bt(h, w); }},
-  };
-  for (const auto& kernel : kernels) {
-    double base_seconds = 0;
-    Matrix base_out;
-    for (int t : thread_counts) {
-      set_parallel_threads(t);
-      Matrix out;
-      const double seconds = timed([&] { out = kernel.run(); });
-      if (t == thread_counts.front()) {
-        base_seconds = seconds;
-        base_out = std::move(out);
-      } else if (!(out == base_out)) {
-        std::cerr << "PARITY VIOLATION: " << kernel.name << " on " << name
-                  << " is not bitwise identical at " << t << " threads\n";
-        std::exit(1);
+  for (const vid_t f : {vid_t{16}, vid_t{64}}) {
+    const Matrix h = Matrix::random_uniform(n, f, rng);
+    const Matrix w = Matrix::random_uniform(f, f, rng);
+    const double df = static_cast<double>(f);
+    // Algorithmic traffic per run() call (see the file comment).
+    const double spmm_bytes =
+        spmm_iters * (dnnz * 8 + dnnz * df * 4 + 2 * dn * df * 4);
+    const double dense_bytes = 2 * dn * df * 4 + df * df * 4;
+    const std::vector<Kernel> kernels = {
+        {"spmm", spmm_bytes,
+         [&] {
+           Matrix z(n, f);
+           for (int i = 0; i < spmm_iters; ++i) spmm_accumulate(a, h, z);
+           return z;
+         }},
+        {"gemm", dense_bytes, [&] { return gemm(h, w); }},
+        {"gemm_at_b", dense_bytes, [&] { return gemm_at_b(h, h); }},
+        {"gemm_a_bt", dense_bytes, [&] { return gemm_a_bt(h, w); }},
+    };
+    for (const auto& kernel : kernels) {
+      double base_seconds = 0;
+      Matrix base_out;
+      for (int t : thread_counts) {
+        set_parallel_threads(t);
+        Matrix out;
+        const double seconds = timed([&] { out = kernel.run(); });
+        if (t == thread_counts.front()) {
+          base_seconds = seconds;
+          base_out = std::move(out);
+        } else if (!(out == base_out)) {
+          std::cerr << "PARITY VIOLATION: " << kernel.name << " at width " << f
+                    << " on " << name << " is not bitwise identical at " << t
+                    << " threads\n";
+          std::exit(1);
+        }
+        const double speedup = seconds > 0 ? base_seconds / seconds : 1.0;
+        const double gbps = seconds > 0 ? kernel.bytes / seconds / 1e9 : 0.0;
+        g_records.push_back({kernel.name, name, "", f, t, seconds, speedup, gbps});
+        table.add_row({kernel.name, std::to_string(f), std::to_string(t),
+                       Table::num(seconds, 4), Table::num(gbps, 3),
+                       Table::num(speedup, 3)});
       }
-      const double speedup = seconds > 0 ? base_seconds / seconds : 1.0;
-      const double gbps = seconds > 0 ? kernel.bytes / seconds / 1e9 : 0.0;
-      g_records.push_back({kernel.name, name, "", t, seconds, speedup, gbps});
-      table.add_row({kernel.name, std::to_string(t), Table::num(seconds, 4),
-                     Table::num(gbps, 3), Table::num(speedup, 3)});
     }
   }
   table.print(std::cout);
 }
 
-/// The --large scaling gate: CSR SpMM must reach >= 4x at 8 threads on at
-/// least one of the large graphs. Skipped (with a notice) when the host
-/// has fewer than 8 hardware threads or 8 wasn't in the sweep.
+/// The --large scaling gate: CSR SpMM at width 64 must reach >= 4x at 8
+/// threads on at least one of the large graphs. Skipped (with a notice)
+/// when the host has fewer than 8 hardware threads or 8 wasn't in the
+/// sweep.
 void assert_large_scaling(const std::vector<int>& thread_counts) {
   const unsigned hw = std::thread::hardware_concurrency();
   const bool swept8 = std::find(thread_counts.begin(), thread_counts.end(),
@@ -196,7 +204,8 @@ void assert_large_scaling(const std::vector<int>& thread_counts) {
   double best = 0;
   std::string best_ds;
   for (const Record& r : g_records) {
-    if (r.bench == "spmm" && r.threads == 8 && r.speedup > best) {
+    if (r.bench == "spmm" && r.width == 64 && r.threads == 8 &&
+        r.speedup > best) {
       best = r.speedup;
       best_ds = r.dataset;
     }
@@ -206,7 +215,7 @@ void assert_large_scaling(const std::vector<int>& thread_counts) {
               << " hardware threads (need >= 8 for the 4x @ 8-thread gate)\n";
     return;
   }
-  std::cout << "\nscaling assert: best spmm speedup @ 8 threads = "
+  std::cout << "\nscaling assert: best width-64 spmm speedup @ 8 threads = "
             << best << " (" << best_ds << ")\n";
   if (best < 4.0) {
     std::cerr << "SCALING VIOLATION: spmm reached only " << best

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/parallel.hpp"
-#include "common/width_dispatch.hpp"
 
 namespace sagnn {
 
@@ -26,87 +25,33 @@ inline void gemm_rows(const Matrix& a, const Matrix& b, Matrix& c,
   }
 }
 
-// Tile edges for the strided kernels: C tiles stay register/L1-resident
-// while the long m dimension streams past.
+// Tile edges for gemm_at_b: C tiles stay register/L1-resident while the
+// long m dimension streams past.
 constexpr vid_t kTileP = 48;
 constexpr vid_t kTileJ = 64;
 
-// Width-specialized twins of the three production bodies, templated on the
-// dimension their innermost loop runs over (common/width_dispatch.hpp):
-// output width k for C += A*B and A^T B, dot length n for A B^T. The
-// generic instantiation (kDynamicWidth) reads the width at runtime and is
-// textually the same loop; fixed widths let the compiler unroll/vectorize.
-// Expression and accumulation order are unchanged everywhere, so every
-// instantiation stays bitwise equal to its *_reference twin.
-
-/// C rows [row_begin, row_end) of C += A * B with b.n_cols() == K.
-template <int K>
-struct GemmRowKernel {
-  static void run(const Matrix& a, const Matrix& b, Matrix& c,
-                  vid_t row_begin, vid_t row_end) {
-    const vid_t n = a.n_cols();
-    const vid_t k = K == kDynamicWidth ? b.n_cols() : K;
-    for (vid_t i = row_begin; i < row_end; ++i) {
+/// C tiles [t_begin, t_end) of C = A^T B; `tj` is the j-tile count the
+/// task index decomposes against.
+inline void gemm_at_b_tiles(const Matrix& a, const Matrix& b, Matrix& c,
+                            std::int64_t t_begin, std::int64_t t_end,
+                            std::int64_t tj) {
+  const vid_t m = a.n_rows(), n = a.n_cols(), k = b.n_cols();
+  for (std::int64_t t = t_begin; t < t_end; ++t) {
+    const vid_t p0 = static_cast<vid_t>(t / tj) * kTileP;
+    const vid_t j0 = static_cast<vid_t>(t % tj) * kTileJ;
+    const vid_t p1 = std::min<vid_t>(p0 + kTileP, n);
+    const vid_t j1 = std::min<vid_t>(j0 + kTileJ, k);
+    for (vid_t i = 0; i < m; ++i) {
       const real_t* ai = a.row(i);
-      real_t* ci = c.row(i);
-      for (vid_t p = 0; p < n; ++p) {
+      const real_t* bi = b.row(i);
+      for (vid_t p = p0; p < p1; ++p) {
         const real_t aip = ai[p];
-        const real_t* bp = b.row(p);
-        for (vid_t j = 0; j < k; ++j) ci[j] += aip * bp[j];
+        real_t* cp = c.row(p);
+        for (vid_t j = j0; j < j1; ++j) cp[j] += aip * bi[j];
       }
     }
   }
-};
-
-/// C tiles [t_begin, t_end) of C = A^T B with b.n_cols() == K; `tj` is the
-/// j-tile count the task index decomposes against.
-template <int K>
-struct GemmAtBTileKernel {
-  static void run(const Matrix& a, const Matrix& b, Matrix& c,
-                  std::int64_t t_begin, std::int64_t t_end, std::int64_t tj) {
-    const vid_t m = a.n_rows(), n = a.n_cols();
-    const vid_t k = K == kDynamicWidth ? b.n_cols() : K;
-    for (std::int64_t t = t_begin; t < t_end; ++t) {
-      const vid_t p0 = static_cast<vid_t>(t / tj) * kTileP;
-      const vid_t j0 = static_cast<vid_t>(t % tj) * kTileJ;
-      const vid_t p1 = std::min<vid_t>(p0 + kTileP, n);
-      const vid_t j1 = std::min<vid_t>(j0 + kTileJ, k);
-      for (vid_t i = 0; i < m; ++i) {
-        const real_t* ai = a.row(i);
-        const real_t* bi = b.row(i);
-        for (vid_t p = p0; p < p1; ++p) {
-          const real_t aip = ai[p];
-          real_t* cp = c.row(p);
-          for (vid_t j = j0; j < j1; ++j) cp[j] += aip * bi[j];
-        }
-      }
-    }
-  }
-};
-
-/// C rows [row_begin, row_end) of C = A B^T with a.n_cols() == N (the dot
-/// length). Fixed N lets the compiler unroll the sequential dot.
-template <int N>
-struct GemmABtRowKernel {
-  static void run(const Matrix& a, const Matrix& b, Matrix& c,
-                  vid_t row_begin, vid_t row_end) {
-    const vid_t n = N == kDynamicWidth ? a.n_cols() : N;
-    const vid_t k = b.n_rows();
-    for (vid_t j0 = 0; j0 < k; j0 += kTileJ) {
-      const vid_t j1 = std::min<vid_t>(j0 + kTileJ, k);
-      for (vid_t i = row_begin; i < row_end; ++i) {
-        const real_t* ai = a.row(i);
-        real_t* ci = c.row(i);
-        for (vid_t j = j0; j < j1; ++j) {
-          const real_t* bj = b.row(j);
-          real_t acc = 0;
-          for (vid_t p = 0; p < n; ++p) acc += ai[p] * bj[p];
-          ci[j] = acc;
-        }
-      }
-    }
-  }
-};
+}
 
 }  // namespace
 
@@ -122,11 +67,10 @@ void gemm_accumulate(const Matrix& a, const Matrix& b, Matrix& c) {
   SAGNN_REQUIRE(c.n_rows() == a.n_rows() && c.n_cols() == b.n_cols(),
                 "GEMM: C shape mismatch");
   const vid_t m = a.n_rows();
-  const auto rows_fn = select_by_width<GemmRowKernel>(b.n_cols());
   // Tasks own disjoint row blocks of C; within a row nothing is reordered,
   // so this is bitwise identical to the reference at any thread count.
   parallel_for(0, m, parallel_grain(m), [&](std::int64_t rb, std::int64_t re) {
-    rows_fn(a, b, c, static_cast<vid_t>(rb), static_cast<vid_t>(re));
+    gemm_rows(a, b, c, static_cast<vid_t>(rb), static_cast<vid_t>(re));
   });
 }
 
@@ -163,9 +107,8 @@ Matrix gemm_at_b(const Matrix& a, const Matrix& b) {
   // stays cache-hot while A's column slice and B's column slice are read
   // with the same stride the reference pays.
   const std::int64_t tp = ceil_div(n, kTileP), tj = ceil_div(k, kTileJ);
-  const auto tiles_fn = select_by_width<GemmAtBTileKernel>(k);
   parallel_for(0, tp * tj, 1, [&](std::int64_t tb, std::int64_t te) {
-    tiles_fn(a, b, c, tb, te, tj);
+    gemm_at_b_tiles(a, b, c, tb, te, tj);
   });
   return c;
 }
@@ -189,16 +132,19 @@ Matrix gemm_a_bt_reference(const Matrix& a, const Matrix& b) {
 
 Matrix gemm_a_bt(const Matrix& a, const Matrix& b) {
   SAGNN_REQUIRE(a.n_cols() == b.n_cols(), "A B^T: col counts must agree");
-  const vid_t m = a.n_rows(), n = a.n_cols(), k = b.n_rows();
-  Matrix c(m, k);
-  // Row blocks of C parallelize over the long m dimension; the j tile keeps
-  // a block of B rows hot across the whole row block instead of cycling the
-  // full B through cache once per output row. Each dot product still runs
-  // p-ascending into a single accumulator — bitwise parity preserved.
-  const auto rows_fn = select_by_width<GemmABtRowKernel>(n);
-  parallel_for(0, m, parallel_grain(m), [&](std::int64_t rb, std::int64_t re) {
-    rows_fn(a, b, c, static_cast<vid_t>(rb), static_cast<vid_t>(re));
-  });
+  const vid_t n = b.n_cols(), k = b.n_rows();
+  // C = A (B^T): into a zeroed C, the row kernel adds a[i][p] * b[j][p]
+  // to c[i][j] for p ascending, the same products in the same order as the
+  // reference's dot product, so the result is bitwise identical. Its inner
+  // loop runs over k and vectorizes; a dot product's serial accumulator
+  // does not. B is the small weight matrix, so transposing it is cheap.
+  Matrix bt(n, k);
+  for (vid_t j = 0; j < k; ++j) {
+    const real_t* bj = b.row(j);
+    for (vid_t p = 0; p < n; ++p) bt(p, j) = bj[p];
+  }
+  Matrix c(a.n_rows(), k);
+  gemm_accumulate(a, bt, c);
   return c;
 }
 

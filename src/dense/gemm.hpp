@@ -4,11 +4,11 @@
 // external BLAS dependency.
 //
 // The production kernels run on the shared thread pool
-// (common/parallel.hpp) and cache-block the strided-access cases
-// (gemm_at_b, gemm_a_bt). Parallel tasks own disjoint tiles of C and every
-// C element accumulates its products in the same index order as the
-// reference loops, so all kernels are bitwise identical to their
-// *_reference twins at every thread count.
+// (common/parallel.hpp); gemm_at_b cache-blocks its strided access, and
+// gemm_a_bt runs the C += A * B row kernel on B^T. Parallel tasks own
+// disjoint tiles of C and every C element accumulates its products in the
+// same index order as the reference loops, so all kernels are bitwise
+// identical to their *_reference twins at every thread count.
 
 #include "dense/matrix.hpp"
 
@@ -25,6 +25,7 @@ void gemm_accumulate(const Matrix& a, const Matrix& b, Matrix& c);
 Matrix gemm_at_b(const Matrix& a, const Matrix& b);
 
 /// C = A * B^T  (B is k x n -> C is m x k). Used for G W^T in backprop.
+/// Transposes B and runs gemm_accumulate, so B should be small.
 Matrix gemm_a_bt(const Matrix& a, const Matrix& b);
 
 /// Single-thread, untiled ground-truth twins, kept for the bitwise-parity

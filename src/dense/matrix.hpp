@@ -40,10 +40,6 @@ class Matrix {
   const real_t* row(vid_t r) const {
     return data_.data() + static_cast<std::size_t>(r) * n_cols_;
   }
-  std::span<real_t> row_span(vid_t r) { return {row(r), static_cast<std::size_t>(n_cols_)}; }
-  std::span<const real_t> row_span(vid_t r) const {
-    return {row(r), static_cast<std::size_t>(n_cols_)};
-  }
 
   real_t& operator()(vid_t r, vid_t c) {
     return data_[static_cast<std::size_t>(r) * n_cols_ + c];

@@ -54,7 +54,6 @@ class DistSpmm15d {
 
   const GridLayout& layout() const { return layout_; }
   const BlockRange& my_range() const { return local_.my_range(); }
-  SpmmMode mode() const { return mode_; }
   /// One replica of every block row — the communicator for global
   /// reductions of losses and weight gradients.
   Comm& col_comm() { return col_comm_; }

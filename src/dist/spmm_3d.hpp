@@ -53,13 +53,8 @@ class DistSpmm3d {
   DistSpmm3d(Comm& comm, const CsrMatrix& a, std::span<const BlockRange> ranges,
              int depth, SpmmMode mode);
 
-  const CubeGrid& grid() const { return grid_; }
-  SpmmMode mode() const { return mode_; }
   /// Residency of this rank's H block (block id = grid column).
   const BlockRange& input_range() const { return input_range_; }
-  /// Residency of this rank's Z partial before the transpose (block id =
-  /// grid row).
-  const BlockRange& output_range() const { return output_range_; }
   /// Ranks of this layer's grid row: pairwise-distinct H blocks, the
   /// communicator for loss/weight-gradient reductions.
   Comm& row_comm() { return row_comm_; }

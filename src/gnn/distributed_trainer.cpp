@@ -386,11 +386,6 @@ void DistributedTrainer::finalize() {
       job_strategy_->epoch_cost(config_.cost_model, traffic, rank_cpu_seconds_,
                                 ctx, traffic_epochs);
 
-  const auto smoothed = job_strategy_->smooth_rank_cpu(ctx, rank_cpu_seconds_);
-  double max_cpu = 0;
-  for (double s : smoothed) max_cpu = std::max(max_cpu, s * inv_epochs);
-  result_.max_rank_cpu_seconds_per_epoch = max_cpu;
-
   // Fault/recovery surfacing: counters accumulate across clusters torn
   // down by kill recovery plus the live recorder.
   result_.faults = faults_before_recovery_;

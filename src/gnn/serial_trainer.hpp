@@ -34,7 +34,6 @@ class SerialTrainer final : public Trainer {
   Matrix forward();
 
   const GcnModel& model() const { return model_; }
-  GcnModel& model_mut() { return model_; }
 
  protected:
   void restore(ckpt::Deserializer& d, const TrainConfig& saved) override;

@@ -206,17 +206,17 @@ class DistributionStrategy {
                        std::span<const double> rank_cpu_seconds,
                        const StrategyContext& ctx, int epochs) const;
 
-  /// The compute-smoothing half of epoch_cost(), exposed so callers can
-  /// also report per-rank bottlenecks.
-  std::vector<double> smooth_rank_cpu(const StrategyContext& ctx,
-                                      std::span<const double> measured) const;
-
   /// Closed-form predicted cost of ONE epoch for a candidate configuration,
   /// from census statistics alone — no setup(), no cluster, no training
   /// run. Strategies opt in by overriding; the base declines (valid =
   /// false), which the planner reports as a skipped candidate. Must return
   /// valid = false (never throw) on invalid geometry.
   virtual PredictedCost predict_cost(const PredictInput& in) const;
+
+ private:
+  /// The compute-smoothing half of epoch_cost().
+  std::vector<double> smooth_rank_cpu(const StrategyContext& ctx,
+                                      std::span<const double> measured) const;
 };
 
 using StrategyRegistry = NamedRegistry<DistributionStrategy>;

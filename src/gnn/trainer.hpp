@@ -124,7 +124,6 @@ struct TrainResult {
 
   double partition_wall_seconds = 0;
   double setup_megabytes = 0;  ///< one-time index-exchange volume
-  double max_rank_cpu_seconds_per_epoch = 0;  ///< unscaled compute bottleneck
 
   /// The three modeled schedule columns: bulk-synchronous, pipelined at
   /// the stage count the run actually used, and the ideal overlap bound.

@@ -3,7 +3,6 @@
 // same way NCCL composes them from ncclSend/ncclRecv (paper §6.2):
 //
 //   bcast          binomial tree
-//   reduce_sum     binomial tree (reverse bcast)
 //   allreduce_sum  ring reduce-scatter + ring all-gather (bandwidth optimal)
 //   allgatherv     ring with variable-size blocks
 //   alltoallv      grouped pairwise exchange, exactly the
@@ -11,7 +10,6 @@
 //   ialltoallv     the same exchange posted nonblocking: returns a
 //                  PendingAlltoall handle; wait() at the chunk boundary
 //                  (the MPI_Request idiom the pipelined SpMMs use)
-//   gatherv        point-to-point funnel into the root
 //
 // Every operation takes a `phase` label under which its traffic is recorded,
 // so bench harnesses can attribute bytes to "bcast" vs "alltoall" vs
@@ -31,12 +29,12 @@
 namespace sagnn {
 
 namespace coll_detail {
+// The bases are not renumbered when an op goes: seeded lossy-link drops
+// hash the stamped tag, so a new base would change which messages drop.
 inline constexpr long kBcastTag = 1L << 20;
-inline constexpr long kReduceTag = 2L << 20;
 inline constexpr long kAllreduceTag = 3L << 20;
 inline constexpr long kAllgatherTag = 4L << 20;
 inline constexpr long kAlltoallTag = 5L << 20;
-inline constexpr long kGatherTag = 6L << 20;
 
 /// Tag base for pipeline stage `stage` of a chunked alltoallv chain
 /// (DistSpmm15d::multiply_pipelined, at every c): distinct windows
@@ -75,31 +73,6 @@ void bcast(Comm& comm, int root, std::vector<T>& data,
       comm.send<T>(dst, coll_detail::kBcastTag, std::span<const T>(data), phase);
     }
     mask >>= 1;
-  }
-}
-
-/// Binomial-tree sum-reduction into `data` on the root; other ranks' buffers
-/// are left in an unspecified partially-reduced state.
-template <typename T>
-void reduce_sum(Comm& comm, int root, std::vector<T>& data,
-                const std::string& phase = "reduce") {
-  const int p = comm.size();
-  if (p == 1) return;
-  const int relative = (comm.rank() - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if (relative & mask) {
-      const int dst = (relative - mask + root) % p;
-      comm.send<T>(dst, coll_detail::kReduceTag, std::span<const T>(data), phase);
-      break;
-    }
-    if (relative + mask < p) {
-      const int src = (relative + mask + root) % p;
-      auto incoming = comm.recv<T>(src, coll_detail::kReduceTag);
-      SAGNN_REQUIRE(incoming.size() == data.size(), "reduce size mismatch");
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] += incoming[i];
-    }
-    mask <<= 1;
   }
 }
 
@@ -292,25 +265,6 @@ std::vector<std::vector<T>> alltoallv(Comm& comm,
                                       const std::string& phase = "alltoall",
                                       long tag_base = coll_detail::kAlltoallTag) {
   return ialltoallv<T>(comm, send_bufs, phase, tag_base).wait();
-}
-
-/// Gather variable-size contributions at `root`. Returns per-rank data at
-/// the root, an empty vector elsewhere.
-template <typename T>
-std::vector<std::vector<T>> gatherv(Comm& comm, int root, std::span<const T> mine,
-                                    const std::string& phase = "gather") {
-  std::vector<std::vector<T>> out;
-  if (comm.rank() == root) {
-    out.resize(static_cast<std::size_t>(comm.size()));
-    out[static_cast<std::size_t>(root)].assign(mine.begin(), mine.end());
-    for (int r = 0; r < comm.size(); ++r) {
-      if (r == root) continue;
-      out[static_cast<std::size_t>(r)] = comm.recv<T>(r, coll_detail::kGatherTag);
-    }
-  } else {
-    comm.send<T>(root, coll_detail::kGatherTag, mine, phase);
-  }
-  return out;
 }
 
 }  // namespace sagnn

@@ -35,7 +35,6 @@ class CsrMatrix {
   std::span<const eid_t> row_ptr() const { return row_ptr_; }
   std::span<const vid_t> col_idx() const { return col_idx_; }
   std::span<const real_t> vals() const { return vals_; }
-  std::span<real_t> vals_mut() { return vals_; }
 
   /// Column indices of row r.
   std::span<const vid_t> row_cols(vid_t r) const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/parallel.hpp"
-#include "common/width_dispatch.hpp"
 
 namespace sagnn {
 
@@ -26,31 +25,6 @@ inline void spmm_rows(const CsrMatrix& a, const Matrix& h, Matrix& z,
   }
 }
 
-/// Width-specialized twin of spmm_rows: the same loop with the feature
-/// width fixed at compile time (F = kDynamicWidth reads it at runtime,
-/// making the generic instantiation textually identical to spmm_rows).
-/// The compiler fully unrolls/vectorizes the j loop for the fixed widths;
-/// the expression and accumulation order are unchanged, so every
-/// instantiation stays bitwise equal to the reference.
-template <int F>
-struct SpmmRowKernel {
-  static void run(const CsrMatrix& a, const Matrix& h, Matrix& z,
-                  vid_t row_begin, vid_t row_end) {
-    const vid_t f = F == kDynamicWidth ? h.n_cols() : F;
-    const auto row_ptr = a.row_ptr();
-    const auto col_idx = a.col_idx();
-    const auto vals = a.vals();
-    for (vid_t r = row_begin; r < row_end; ++r) {
-      real_t* zr = z.row(r);
-      for (eid_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        const real_t v = vals[k];
-        const real_t* hr = h.row(col_idx[k]);
-        for (vid_t j = 0; j < f; ++j) zr[j] += v * hr[j];
-      }
-    }
-  }
-};
-
 }  // namespace
 
 void spmm_accumulate_reference(const CsrMatrix& a, const Matrix& h, Matrix& z) {
@@ -65,19 +39,16 @@ void spmm_accumulate(const CsrMatrix& a, const Matrix& h, Matrix& z) {
   SAGNN_REQUIRE(z.n_rows() == a.n_rows() && z.n_cols() == h.n_cols(),
                 "SpMM: Z shape must be (A rows x H cols)");
   const vid_t n = a.n_rows();
-  // Resolve the width-specialized row kernel once; the hot loops below
-  // contain no dispatch (common/width_dispatch.hpp).
-  const auto rows_fn = select_by_width<SpmmRowKernel>(h.n_cols());
   // Serial-region check first: it is thread-local and lock-free, and it is
   // the path every simulated rank takes per layer per epoch.
   if (in_serial_region()) {
-    rows_fn(a, h, z, 0, n);
+    spmm_rows(a, h, z, 0, n);
     return;
   }
   const std::int64_t n_blocks =
       std::min<std::int64_t>(n, static_cast<std::int64_t>(parallel_threads()) * 4);
   if (n_blocks <= 1) {
-    rows_fn(a, h, z, 0, n);
+    spmm_rows(a, h, z, 0, n);
     return;
   }
   // nnz-balanced row blocks: block b owns the rows whose cumulative nonzero
@@ -98,8 +69,8 @@ void spmm_accumulate(const CsrMatrix& a, const Matrix& h, Matrix& z) {
   }
   parallel_for(0, n_blocks, 1, [&](std::int64_t bb, std::int64_t be) {
     for (std::int64_t b = bb; b < be; ++b) {
-      rows_fn(a, h, z, bounds[static_cast<std::size_t>(b)],
-              bounds[static_cast<std::size_t>(b) + 1]);
+      spmm_rows(a, h, z, bounds[static_cast<std::size_t>(b)],
+                bounds[static_cast<std::size_t>(b) + 1]);
     }
   });
 }

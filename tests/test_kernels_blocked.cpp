@@ -98,7 +98,8 @@ TEST(BlockedKernels, GemmAtBBitwiseMatchesReference) {
 TEST(BlockedKernels, GemmABtBitwiseMatchesReference) {
   ThreadCountGuard guard;
   Rng rng(14);
-  // k spans the kTileJ=64 edge; n=1 exercises the degenerate dot product.
+  // k, the row kernel's inner (vectorized) axis over B^T, spans 63/64/65;
+  // n=1 exercises the degenerate dot product.
   const struct {
     vid_t m, n, k;
   } shapes[] = {{300, 1, 1}, {1, 7, 3}, {211, 7, 63}, {100, 33, 64},
