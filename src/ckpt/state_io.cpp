@@ -165,8 +165,8 @@ TrafficRecorder read_traffic(Deserializer& d) {
                                 d.section_name() + "'");
   }
   // The recorder allocates one shard per rank up front, so bound p before
-  // building it: the runtime runs one thread per rank and never writes a
-  // rank count anywhere near this.
+  // building it: each rank costs the runtime a fiber and a 1 MiB stack, and
+  // no run writes a rank count anywhere near this.
   constexpr int kMaxRanks = 1 << 16;
   if (p > kMaxRanks) {
     throw CheckpointFormatError("rank count " + std::to_string(p) +

@@ -34,8 +34,8 @@ class Pool {
   }
 
   int threads() {
-    // Lock-free fast path: kernels on simulated rank threads query the
-    // size per call, and must never contend on the pool mutex.
+    // Lock-free fast path: kernels on simulated ranks query the size per
+    // call, and must never contend on the pool mutex.
     const int cached = size_cache_.load(std::memory_order_relaxed);
     if (cached != 0) return cached;
     std::lock_guard<std::mutex> lock(mu_);

@@ -13,11 +13,12 @@
 //     outputs is bit-identical at every thread count. parallel_reduce
 //     combines the per-chunk partials with a fixed binary tree over the
 //     chunk index — also independent of scheduling.
-//   * Nesting guard: a thread inside a SerialRegion (every simulated
-//     cluster rank thread — see Cluster::run) or inside a pool worker runs
-//     parallel_for inline and serially. Per-rank ThreadCpuTimer compute
-//     measurement and the bit-identical serial-parity sweep are therefore
-//     unaffected by the pool's existence.
+//   * Nesting guard: a thread inside a SerialRegion or inside a pool
+//     worker runs parallel_for inline and serially. Every worker thread of
+//     a Cluster holds a SerialRegion for its whole life (simcomm/fiber.hpp),
+//     so the rank fibers it runs compute serially. Per-rank ThreadCpuTimer
+//     compute measurement and the bit-identical serial-parity sweep are
+//     therefore unaffected by the pool's existence.
 
 #include <cstdint>
 #include <functional>
@@ -42,9 +43,9 @@ void set_parallel_threads(int n);
 bool in_serial_region();
 
 /// RAII marker forcing parallel_for on this thread (and the code it calls)
-/// to run inline and serially. Nests. Cluster::run wraps every simulated
-/// rank in one, so distributed-trainer compute stays single-threaded and
-/// per-rank CPU timing stays meaningful.
+/// to run inline and serially. Nests. Every Cluster worker thread holds
+/// one, so distributed-trainer compute stays single-threaded and per-rank
+/// CPU timing stays meaningful.
 class SerialRegion {
  public:
   SerialRegion();

@@ -3,7 +3,7 @@
 // once against the DistributionStrategy interface: pick a strategy and a
 // partitioner (both by registry name, via TrainConfig), and the trainer
 //   1. partitions & symmetrically permutes Â (and H rows, labels, masks),
-//   2. spins up P rank-threads and runs each strategy's setup (the one-time
+//   2. builds the P-rank cluster and runs each strategy's setup (the one-time
 //      index exchange is recorded separately and excluded from epoch cost,
 //      as the paper excludes preprocessing),
 //   3. trains the GCN with replicated weights, one run_epoch() at a time

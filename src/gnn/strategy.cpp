@@ -14,7 +14,7 @@ StrategyRegistry& strategy_registry() {
 std::vector<double> DistributionStrategy::smooth_rank_cpu(
     const StrategyContext& ctx, std::span<const double> measured) const {
   // The kernels are measured with per-thread CPU clocks, but with many
-  // rank-threads oversubscribed on few cores the per-rank split is noisy
+  // rank fibers folded onto few cores the per-rank split is noisy
   // (cache and scheduler effects). Compute work is nnz-dominated and
   // exactly proportional to each rank's share of the matrix, so keep the
   // MEASURED total and redistribute it in proportion to rank_work(). This

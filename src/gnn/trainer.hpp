@@ -235,10 +235,12 @@ struct TrainConfig {
   std::string strategy = "serial";
 
   /// Host thread-pool size for partitioning and the blocked kernels
-  /// (common/parallel.hpp). 0 keeps the current pool (SAGNN_THREADS env,
-  /// else hardware concurrency); >= 1 pins it. Never affects training
-  /// math: kernels are bitwise thread-count-invariant and simulated rank
-  /// threads always compute serially.
+  /// (common/parallel.hpp), and the number of worker threads the simulated
+  /// ranks run on (simcomm/fiber.hpp; at most p). 0 keeps the current pool
+  /// (SAGNN_THREADS env, else hardware concurrency); >= 1 pins it. Never
+  /// affects training math: kernels are bitwise thread-count-invariant,
+  /// rank fibers always compute serially, and message matching does not
+  /// depend on the schedule.
   int threads = 0;
 
   // --- distributed-mode options ---

@@ -1,37 +1,33 @@
 #include "simcomm/cluster.hpp"
 
+#include <algorithm>
 #include <exception>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
 
 namespace sagnn {
 
+Cluster::Cluster(int p) : world_(p), runtime_(std::min(p, parallel_threads())) {}
+
+Cluster::Cluster(int p, std::shared_ptr<const FaultPlan> plan) : Cluster(p) {
+  if (plan != nullptr) world_.install_fault_plan(std::move(plan));
+}
+
 void Cluster::run(const std::function<void(Comm&)>& fn) {
   const int p = world_.size();
-  std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p));
-  threads.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    threads.emplace_back([this, &fn, &errors, r] {
-      // A simulated rank models one GPU: its compute must stay
-      // single-threaded so ThreadCpuTimer measurements and the
-      // bit-identical serial-parity sweep are unaffected by the host
-      // thread pool (common/parallel.hpp nesting guard).
-      SerialRegion serial;
-      try {
-        Comm comm(world_, r);
-        fn(comm);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Unblock every rank waiting on a message from us; they will fail
-        // with AbortedError instead of deadlocking.
-        world_.abort();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  runtime_.run(p, [this, &fn, &errors](int r) {
+    try {
+      Comm comm(world_, r);
+      fn(comm);
+    } catch (...) {
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      // Unblock every rank waiting on a message from us; they will fail
+      // with AbortedError instead of deadlocking.
+      world_.abort();
+    }
+  });
   // Prefer the root-cause error over secondary AbortedErrors.
   std::exception_ptr aborted;
   for (const auto& e : errors) {

@@ -1,14 +1,18 @@
 #pragma once
-// SPMD launcher: runs one std::thread per simulated GPU rank and hands each
-// a world Comm. Exceptions thrown by any rank are captured and rethrown on
-// the caller thread after all ranks have been joined, so a failing rank
-// cannot deadlock the harness.
+// SPMD launcher: runs every simulated GPU rank as a fiber on the Cluster's
+// own worker threads (simcomm/fiber.hpp) and hands each a world Comm. The
+// workers start with the Cluster and are joined when it is destroyed;
+// every run() reuses them and their pooled fiber stacks, so an epoch
+// spawns no thread. Exceptions thrown by any rank are captured and
+// rethrown on the caller thread after all ranks have finished, so a
+// failing rank cannot deadlock the harness.
 
 #include <functional>
 #include <memory>
 #include <utility>
 
 #include "simcomm/comm.hpp"
+#include "simcomm/fiber.hpp"
 
 namespace sagnn {
 
@@ -16,13 +20,12 @@ class FaultPlan;
 
 class Cluster {
  public:
-  explicit Cluster(int p) : world_(p) {}
+  /// A cluster of p ranks on min(p, parallel_threads()) worker threads.
+  explicit Cluster(int p);
 
   /// Cluster with a deterministic fault plan (fault.hpp) installed on the
   /// world. Null or empty plans are bitwise identical to Cluster(p).
-  Cluster(int p, std::shared_ptr<const FaultPlan> plan) : world_(p) {
-    if (plan != nullptr) world_.install_fault_plan(std::move(plan));
-  }
+  Cluster(int p, std::shared_ptr<const FaultPlan> plan);
 
   int p() const { return world_.size(); }
   CommWorld& world() { return world_; }
@@ -35,6 +38,7 @@ class Cluster {
 
  private:
   CommWorld world_;
+  FiberRuntime runtime_;
 };
 
 /// One-shot convenience: build a cluster of size p, run fn, return the

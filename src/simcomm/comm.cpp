@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <map>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 
 #include "simcomm/fault.hpp"
+#include "simcomm/fiber.hpp"
 
 namespace sagnn {
 
@@ -72,7 +71,6 @@ struct Mailbox {
 
   const int rank;
   std::mutex mutex;
-  std::condition_variable cv;
   std::unordered_map<StreamKey, Stream, StreamKeyHash> streams;
   /// Slots whose receive was destroyed unwaited: the matching arrival is
   /// dropped on sight so later slots keep matching their own messages.
@@ -80,10 +78,12 @@ struct Mailbox {
   std::vector<std::pair<const Stream*, std::uint64_t>> abandoned;
   /// Retransmit store of the retry protocol, keyed (src, tag, seq).
   std::map<std::tuple<int, long, std::uint64_t>, DroppedMessage> dropped;
-  /// The slot the owner is blocked on (null: not blocked). isend wakes the
-  /// owner only for this slot.
+  /// The slot the owner is blocked on (null: not blocked) and the waiter
+  /// parked on it. isend wakes that waiter only for this slot; abort()
+  /// wakes it whatever the slot.
   const Stream* awaited = nullptr;
   std::uint64_t awaited_seq = 0;
+  Waiter* waiter = nullptr;
 
   Stream& stream(int src, long tag) { return streams[StreamKey{src, tag}]; }
   bool awaits(const Stream& s, std::uint64_t seq) const {
@@ -107,24 +107,33 @@ using comm_detail::Stream;
 
 namespace {
 
-std::chrono::duration<double> secs(double s) {
-  return std::chrono::duration<double>(s);
+/// The steady-clock time `s` seconds from now.
+SteadyTime after_seconds(double s) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(s));
 }
 
-/// Registers the owner as blocked on one slot for the scope of one cv
-/// wait. The mailbox lock must be held.
+/// Records `waiter` as blocked on one slot for the scope of one or more
+/// parks. The mailbox lock must be held.
 class Awaiting {
  public:
-  Awaiting(Mailbox& box, const Stream& stream, std::uint64_t seq) : box_(box) {
-    // A rank is one thread. A second waiter would be invisible to the
-    // single-slot wakeup in isend, so it is refused rather than lost.
+  Awaiting(Mailbox& box, const Stream& stream, std::uint64_t seq, Waiter& waiter)
+      : box_(box) {
+    // A rank is one waiter: its fiber, or the one thread that drives it. A
+    // second waiter would be invisible to the single-slot wakeup in isend,
+    // so it is refused rather than lost.
     SAGNN_REQUIRE(box.awaited == nullptr,
                   "a second thread blocked on rank " + std::to_string(box.rank) +
                       "'s mailbox (one waiter per mailbox)");
     box.awaited = &stream;
     box.awaited_seq = seq;
+    box.waiter = &waiter;
   }
-  ~Awaiting() { box_.awaited = nullptr; }
+  ~Awaiting() {
+    box_.awaited = nullptr;
+    box_.waiter = nullptr;
+  }
   Awaiting(const Awaiting&) = delete;
   Awaiting& operator=(const Awaiting&) = delete;
 
@@ -183,7 +192,7 @@ Request CommWorld::isend(int src, int dst, long tag,
                 "send rank out of range");
   const FaultPlan* plan = fault_plan_.get();
   if (plan != nullptr && src != dst) {
-    // Scheduled kills fire on the victim's own thread at its send
+    // Scheduled kills fire on the victim's own rank at its send
     // boundaries (the epoch-top poll covers the after_sends == 0 case).
     const int epoch = fault_epoch_.load(std::memory_order_acquire);
     if (epoch >= 0 && plan->has_kills()) {
@@ -193,10 +202,11 @@ Request CommWorld::isend(int src, int dst, long tag,
     }
     // Straggler: the slow rank pays its delay before every cross-rank
     // send, so its peers' blocked time rises in the overlap ledger exactly
-    // as a real straggler's would.
+    // as a real straggler's would. A rank fiber sleeps on the scheduler's
+    // timer, so its worker runs other ranks meanwhile.
     const double delay = plan->send_delay(src);
     if (delay > 0) {
-      std::this_thread::sleep_for(secs(delay));
+      sleep_until(after_seconds(delay));
       traffic_.record_straggler(delay);
     }
   }
@@ -204,7 +214,7 @@ Request CommWorld::isend(int src, int dst, long tag,
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
   bool dropped = false;
   bool duplicated = false;
-  bool wake = false;
+  Waiter* wake = nullptr;
   {
     std::lock_guard lock(box.mutex);
     Stream& stream = box.stream(src, tag);
@@ -220,7 +230,7 @@ Request CommWorld::isend(int src, int dst, long tag,
       box.dropped.emplace(std::make_tuple(src, tag, seq),
                           DroppedMessage{1, {data.begin(), data.end()}});
       dropped = true;
-      wake = box.awaits(stream, seq);
+      if (box.awaits(stream, seq)) wake = box.waiter;
     } else {
       (void)stream.deliver(Message{seq, {data.begin(), data.end()}});
       if (plan != nullptr && plan->should_duplicate(src, dst, tag, seq, 1)) {
@@ -228,12 +238,12 @@ Request CommWorld::isend(int src, int dst, long tag,
         // suppressed by its sequence number.
         duplicated = !stream.deliver(Message{seq, {data.begin(), data.end()}});
       }
-      wake = box.awaits(stream, seq);
+      if (box.awaits(stream, seq)) wake = box.waiter;
     }
   }
   if (dropped) traffic_.record_fault_drop();
   if (duplicated) traffic_.record_fault_duplicate();
-  if (wake) box.cv.notify_one();
+  if (wake != nullptr) wake->unpark();
   return Request(this, Request::Kind::kSend, nullptr, nullptr, src, tag, 0);
 }
 
@@ -274,6 +284,7 @@ std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
   const int me = box.rank;
   const FaultPlan* plan = fault_plan_.get();
   const bool lossy = plan != nullptr && plan->lossy(src, me);
+  Waiter& self = current_waiter();
   for (;;) {
     auto it = stream.find(seq);
     if (it != stream.arrived.end()) {
@@ -284,8 +295,8 @@ std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
     }
     if (aborted()) throw AbortedError();
     if (!lossy) {
-      Awaiting awaiting(box, stream, seq);
-      box.cv.wait(lock);
+      Awaiting awaiting(box, stream, seq, self);
+      (void)self.park_until(lock, SteadyTime::max());
       continue;
     }
 
@@ -300,9 +311,8 @@ std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
       // Nothing known-dropped for this slot: the message may simply not
       // have been sent yet. Poll with the base timeout so a later drop is
       // noticed (a real receiver cannot tell the two cases apart either).
-      Awaiting awaiting(box, stream, seq);
-      if (box.cv.wait_for(lock, secs(plan->retry_timeout(1))) ==
-          std::cv_status::timeout) {
+      Awaiting awaiting(box, stream, seq, self);
+      if (!self.park_until(lock, after_seconds(plan->retry_timeout(1)))) {
         traffic_.record_fault_timeout();
       }
       continue;
@@ -322,19 +332,16 @@ std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
     // (src, tag, seq) slot, so only abort() or a spurious wakeup ends the
     // wait early — and the protocol invariant timeouts >= retries holds
     // only if every retry is timeout-driven.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            secs(plan->retry_timeout(attempts)));
+    const SteadyTime deadline = after_seconds(plan->retry_timeout(attempts));
     {
-      Awaiting awaiting(box, stream, seq);
-      while (box.cv.wait_until(lock, deadline) != std::cv_status::timeout) {
+      Awaiting awaiting(box, stream, seq, self);
+      while (self.park_until(lock, deadline)) {
         if (aborted()) throw AbortedError();
       }
     }
     traffic_.record_fault_timeout();
     if (aborted()) throw AbortedError();
-    parked = box.dropped.find(key);  // wait_until released the lock
+    parked = box.dropped.find(key);  // the park released the lock
     if (parked == box.dropped.end()) continue;
     const std::uint64_t attempt = ++parked->second.attempts;
     traffic_.record_fault_retry();
@@ -429,8 +436,12 @@ std::vector<std::vector<std::byte>> waitall(std::span<Request> requests,
 void CommWorld::abort() {
   aborted_.store(true, std::memory_order_release);
   for (auto& box : mailboxes_) {
-    std::lock_guard lock(box->mutex);
-    box->cv.notify_all();
+    Waiter* waiter = nullptr;
+    {
+      std::lock_guard lock(box->mutex);
+      waiter = box->waiter;
+    }
+    if (waiter != nullptr) waiter->unpark();
   }
 }
 

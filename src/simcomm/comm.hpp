@@ -25,18 +25,21 @@
 //     (src, tag) stream without corrupting later matches (no leak).
 //   * wait() on an already-completed or empty handle is a typed
 //     RequestError, never undefined behavior.
-//   * One waiter per mailbox: a rank is one thread, so only the owner ever
-//     blocks on its mailbox. A second thread that tries to block there
+//   * One waiter per mailbox: a rank is one fiber (simcomm/fiber.hpp), so
+//     only the owner ever blocks on its mailbox. A second waiter — say, a
+//     plain thread driving the world directly — that tries to block there
 //     while the owner is blocked gets a typed Error.
 //
 // Cost per message: each mailbox keeps one stream per (src, tag) — next
 // arrival seq, next posted seq, arrived-but-unclaimed messages — so isend,
 // irecv and recv each cost one hash lookup, and a Request keeps its stream
-// for wait() and abandon. A blocked receiver records the one slot it
-// awaits, and isend wakes it only when it deposits (or a lossy link parks)
-// that slot. Apart from lossy-link retry deadlines, the runtime reads the
-// clock only inside Request::wait(&stats), on entry and on completion, to
-// measure WaitStats::blocked: irecv, isend and blocking recv never touch it.
+// for wait() and abandon. A blocked receiver parks its fiber (a user-space
+// switch, no kernel sleep) and records the one slot it awaits and itself
+// as the waiter; isend wakes that waiter only when it deposits (or a lossy
+// link parks) that slot, after releasing the mailbox lock. Apart from
+// lossy-link retry deadlines, the runtime reads the clock only inside
+// Request::wait(&stats), on entry and on completion, to measure
+// WaitStats::blocked: irecv, isend and blocking recv never touch it.
 //
 // Tag space: user tags must be < kUserTagLimit. Internal operations
 // (barriers, collectives) use reserved offsets above that, further prefixed
@@ -187,7 +190,7 @@ class CommWorld {
   /// same wait_recv as Request::wait(), without reading the clock.
   std::vector<std::byte> recv(int me, int src, long tag);
 
-  /// Wake every blocked receiver with AbortedError (called by Cluster when
+  /// Wake every parked receiver with AbortedError (called by Cluster when
   /// a rank throws). Pending requests resolve at their next wait().
   void abort();
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
@@ -218,9 +221,9 @@ class CommWorld {
   friend class Request;
 
   /// The one matching path, shared by Request::wait() and the blocking
-  /// recv(): claim slot `seq` of the (src, tag) `stream` in `box`, blocking
-  /// until it arrives. `lock` holds box's mutex on entry and exit. The clock is
-  /// read only when `stats` is non-null.
+  /// recv(): claim slot `seq` of the (src, tag) `stream` in `box`, parking
+  /// the current waiter until it arrives. `lock` holds box's mutex on entry
+  /// and exit. The clock is read only when `stats` is non-null.
   std::vector<std::byte> wait_recv(std::unique_lock<std::mutex>& lock,
                                    comm_detail::Mailbox& box,
                                    comm_detail::Stream& stream, int src, long tag,
@@ -256,7 +259,7 @@ std::vector<std::vector<std::byte>> waitall(std::span<Request> requests,
 /// abandons a slot against the torn-down stream.
 void resolve_aborted(std::span<Request> requests);
 
-/// A communicator: an ordered subset of world ranks plus this thread's
+/// A communicator: an ordered subset of world ranks plus this rank's
 /// position in it. Cheap to copy. All collective operations live in
 /// collectives.hpp and operate on a Comm.
 class Comm {

@@ -13,9 +13,9 @@
 // stages individually; consumers that only care about volume aggregate by
 // base_name() (phase_total(), stage_count()).
 //
-// Recording is sharded by source rank: each rank thread records into its
-// own shard (own lock, row `src` of every phase), so concurrent senders
-// never contend. Every reader folds the shards back into whole p x p
+// Recording is sharded by source rank: each rank records into its own
+// shard (own lock, row `src` of every phase), so senders running on
+// different workers never contend. Every reader folds the shards back into whole p x p
 // phases under the recorder lock; the API sees one recorder.
 
 #include <cstdint>
