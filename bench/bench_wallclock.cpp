@@ -2,7 +2,9 @@
 // partitioning end-to-end and the blocked SpMM / GEMM kernels, swept
 // across thread counts — on the synthetic datasets, and with --large on
 // streamed multi-million-edge graphs (rmat_csr / powerlaw_csr). Kernels
-// run at feature width 16, the paper's hidden width, and at 64.
+// run at feature width 8 (the column-chunk width of the pipelined 1.5D
+// multiply in the train-1.5d workload), 16 (the paper's hidden width) and
+// 64.
 //
 // Unlike every other bench (which reports alpha-beta MODELED times), this
 // one measures real seconds — it seeds the perf trajectory with hardware
@@ -11,8 +13,9 @@
 //   * determinism: for a fixed seed, partition assignments must be
 //     IDENTICAL at every thread count (round-synchronous matching, fixed
 //     chunk boundaries);
-//   * kernel parity: blocked SpMM/GEMM outputs must be bitwise equal to
-//     their single-thread runs;
+//   * kernel parity: each SpMM/GEMM kernel's output at the first thread
+//     count must be bitwise equal to its *_reference kernel's, and its
+//     output at every other thread count to that first output;
 //   * scaling: with --large on a machine with >= 8 hardware threads, the
 //     CSR SpMM must reach >= 4x speedup at 8 threads (skipped with a
 //     printed notice on smaller hosts — the container this grows in has 1).
@@ -132,6 +135,13 @@ void bench_partitioners(const std::string& name, const CsrMatrix& a,
   table.print(std::cout);
 }
 
+/// C = A·B by gemm_accumulate_reference, the parity twin of gemm().
+Matrix gemm_reference(const Matrix& a, const Matrix& b) {
+  Matrix c(a.n_rows(), b.n_cols());
+  gemm_accumulate_reference(a, b, c);
+  return c;
+}
+
 void bench_kernels(const std::string& name, const CsrMatrix& a,
                    const std::vector<int>& thread_counts) {
   print_banner(std::cout, name + " — blocked kernel throughput");
@@ -145,8 +155,9 @@ void bench_kernels(const std::string& name, const CsrMatrix& a,
     const char* name;
     double bytes;
     std::function<Matrix()> run;
+    std::function<Matrix()> reference;  ///< the same call on *_reference
   };
-  for (const vid_t f : {vid_t{16}, vid_t{64}}) {
+  for (const vid_t f : {vid_t{8}, vid_t{16}, vid_t{64}}) {
     const Matrix h = Matrix::random_uniform(n, f, rng);
     const Matrix w = Matrix::random_uniform(f, f, rng);
     const double df = static_cast<double>(f);
@@ -160,10 +171,18 @@ void bench_kernels(const std::string& name, const CsrMatrix& a,
            Matrix z(n, f);
            for (int i = 0; i < spmm_iters; ++i) spmm_accumulate(a, h, z);
            return z;
+         },
+         [&] {
+           Matrix z(n, f);
+           for (int i = 0; i < spmm_iters; ++i) spmm_accumulate_reference(a, h, z);
+           return z;
          }},
-        {"gemm", dense_bytes, [&] { return gemm(h, w); }},
-        {"gemm_at_b", dense_bytes, [&] { return gemm_at_b(h, h); }},
-        {"gemm_a_bt", dense_bytes, [&] { return gemm_a_bt(h, w); }},
+        {"gemm", dense_bytes, [&] { return gemm(h, w); },
+         [&] { return gemm_reference(h, w); }},
+        {"gemm_at_b", dense_bytes, [&] { return gemm_at_b(h, h); },
+         [&] { return gemm_at_b_reference(h, h); }},
+        {"gemm_a_bt", dense_bytes, [&] { return gemm_a_bt(h, w); },
+         [&] { return gemm_a_bt_reference(h, w); }},
     };
     for (const auto& kernel : kernels) {
       double base_seconds = 0;
@@ -173,6 +192,12 @@ void bench_kernels(const std::string& name, const CsrMatrix& a,
         Matrix out;
         const double seconds = timed([&] { out = kernel.run(); });
         if (t == thread_counts.front()) {
+          if (!(out == kernel.reference())) {
+            std::cerr << "PARITY VIOLATION: " << kernel.name << " at width " << f
+                      << " on " << name << " is not bitwise identical to its "
+                      << "reference kernel at " << t << " threads\n";
+            std::exit(1);
+          }
           base_seconds = seconds;
           base_out = std::move(out);
         } else if (!(out == base_out)) {
@@ -238,7 +263,8 @@ int main(int argc, char** argv) {
            "partitioning end-to-end and blocked SpMM/GEMM throughput vs\n"
            "thread count. Partition assignments are asserted identical\n"
            "across thread counts (fixed seed), kernel outputs bitwise\n"
-           "equal across thread counts — exit 1 on violation.");
+           "equal to the reference kernels and across thread counts —\n"
+           "exit 1 on violation.");
 
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};

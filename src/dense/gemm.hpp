@@ -4,11 +4,14 @@
 // external BLAS dependency.
 //
 // The production kernels run on the shared thread pool
-// (common/parallel.hpp); gemm_at_b cache-blocks its strided access, and
-// gemm_a_bt runs the C += A * B row kernel on B^T. Parallel tasks own
-// disjoint tiles of C and every C element accumulates its products in the
-// same index order as the reference loops, so all kernels are bitwise
-// identical to their *_reference twins at every thread count.
+// (common/parallel.hpp). gemm_accumulate keeps strips of 16, 8, 4 and 1
+// columns of a C row in registers across the whole p loop; gemm_at_b
+// cache-blocks its strided access and folds four rows of A and B into each
+// load and store of a C element; gemm_a_bt runs the C += A * B row kernel
+// on B^T. Parallel tasks own disjoint tiles of C and every C element
+// accumulates its products in the same index order as the reference
+// loops, so all kernels are bitwise identical to their *_reference twins
+// at every thread count.
 
 #include "dense/matrix.hpp"
 

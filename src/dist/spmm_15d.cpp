@@ -90,7 +90,6 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
       std::max(1, std::min(chunks, static_cast<int>(std::max<vid_t>(1, f))));
   const bool tagged = stage_counter != nullptr;
   const int stage_base = tagged ? *stage_counter : 0;
-  const bool chunked = k_chunks > 1;
   const auto col_begin = [&](int k) {
     return static_cast<vid_t>(static_cast<std::int64_t>(f) * k / k_chunks);
   };
@@ -124,8 +123,9 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
                : coll_detail::kAlltoallTag);
   };
 
-  // Own block: gather the full-width rows once, slice per chunk below
-  // (only needed when our own block row is assigned to this replica).
+  // Own block: gather the full-width rows once; each chunk reads its column
+  // window (only needed when our own block row is assigned to this
+  // replica).
   Matrix own_packed;
   if (assigned(grid_row_) &&
       local_.compacted_block(grid_row_).matrix.nnz() > 0) {
@@ -149,32 +149,23 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
     const vid_t c0 = col_begin(k);
     const vid_t fc = col_begin(k + 1) - c0;
     ThreadCpuTimer timer;
-    // Accumulate into a chunk-wide scratch (pasted back below) when
-    // chunked, straight into z when not.
-    Matrix z_chunk = chunked ? Matrix(local_.local_rows(), fc) : Matrix();
-    Matrix& z_out = chunked ? z_chunk : z;
+    // Every chunk accumulates straight into its column window of z. Remote
+    // chunks arrive packed to the chunk's width; the own block is read at
+    // the same window of its full-width rows.
     for (int j = 0; j < layout_.rows; ++j) {
       if (!assigned(j)) continue;
       const CompactedBlock& block = local_.compacted_block(j);
       if (block.matrix.nnz() == 0) continue;
-      Matrix packed_store;
-      const Matrix* packed = &packed_store;
       if (j == grid_row_) {
-        if (chunked) {
-          packed_store = own_packed.slice_cols(c0, c0 + fc);
-        } else {
-          packed = &own_packed;
-        }
+        spmm_accumulate(block.matrix, own_packed, c0, z, c0, fc);
       } else {
         // The Matrix ctor validates the flat buffer's size against
         // (rows, cols).
-        packed_store =
-            Matrix(static_cast<vid_t>(block.cols.size()), fc,
-                   std::move(received[static_cast<std::size_t>(j)]));
+        const Matrix packed(static_cast<vid_t>(block.cols.size()), fc,
+                            std::move(received[static_cast<std::size_t>(j)]));
+        spmm_accumulate(block.matrix, packed, 0, z, c0, fc);
       }
-      spmm_accumulate(block.matrix, *packed, z_out);
     }
-    if (chunked) z.paste_cols(c0, z_chunk);
     if (cpu != nullptr) *cpu += timer.seconds();
   }
 

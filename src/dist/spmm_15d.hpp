@@ -68,7 +68,11 @@ class DistSpmm15d {
   /// + pending irecvs) before chunk k is waited for and computed — a
   /// genuine double-buffered (depth-2) pipeline whose wait() records the
   /// measured hidden/blocked wall-clock split (see
-  /// EpochCost::measured_overlap_fraction()). Numerically identical to
+  /// EpochCost::measured_overlap_fraction()). Chunk k's SpMMs accumulate
+  /// in place into Z's column window of chunk k (the window form of
+  /// spmm_accumulate): a remote block from its packed chunk, the own block
+  /// from the same window of its full-width rows, so no chunk is copied
+  /// into or out of a temporary matrix. Numerically identical to
   /// multiply(): each output element accumulates its neighbors in the
   /// same order, columns are independent. The grid-row partial-sum
   /// all-reduce stays one full-width collective AFTER the last chunk —

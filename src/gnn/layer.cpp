@@ -17,7 +17,7 @@ GcnLayer::Backward GcnLayer::backward(const Matrix& d_h_out) const {
   Backward out;
   out.d_z = relu_ ? hadamard(d_h_out, relu_grad(cached_z_)) : d_h_out;
   out.d_weights = gemm_at_b(cached_m_, out.d_z);
-  out.d_m = gemm_a_bt(out.d_z, w_);
+  if (input_grad_) out.d_m = gemm_a_bt(out.d_z, w_);
   return out;
 }
 

@@ -9,6 +9,11 @@
 //              dW = M^T dZ     (caller sums across ranks when distributed)
 //              dM = dZ W^T     (caller then computes dH_in = Â dM)
 //
+// dM is the gradient of the layer's INPUT. Nothing reads it for the first
+// layer of a model (H_in is the fixed feature matrix), so GcnModel builds
+// layer 0 with compute_input_grad = false and its backward leaves d_m
+// empty; a standalone layer computes it.
+//
 // The layer caches M and Z from the forward pass for use in backward.
 
 #include "dense/gemm.hpp"
@@ -20,7 +25,8 @@ namespace sagnn {
 class GcnLayer {
  public:
   GcnLayer() = default;
-  GcnLayer(Matrix w, bool apply_relu) : w_(std::move(w)), relu_(apply_relu) {}
+  GcnLayer(Matrix w, bool apply_relu, bool compute_input_grad = true)
+      : w_(std::move(w)), relu_(apply_relu), input_grad_(compute_input_grad) {}
 
   vid_t in_features() const { return w_.n_rows(); }
   vid_t out_features() const { return w_.n_cols(); }
@@ -34,7 +40,8 @@ class GcnLayer {
   /// Backward helper results.
   struct Backward {
     Matrix d_weights;  ///< local contribution M^T dZ (sum across ranks!)
-    Matrix d_m;        ///< dM = dZ W^T; aggregate with Â for dH_in
+    Matrix d_m;        ///< dM = dZ W^T; aggregate with Â for dH_in (empty
+                       ///< when the layer does not compute its input grad)
     Matrix d_z;        ///< dZ after activation gradient (exposed for tests)
   };
 
@@ -48,6 +55,7 @@ class GcnLayer {
  private:
   Matrix w_;
   bool relu_ = true;
+  bool input_grad_ = true;
   Matrix cached_m_;
   Matrix cached_z_;
 };

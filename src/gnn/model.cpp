@@ -11,7 +11,9 @@ GcnModel::GcnModel(const GcnConfig& config) {
   for (std::size_t l = 0; l + 1 < config.dims.size(); ++l) {
     const bool is_last = l + 2 == config.dims.size();
     Matrix w = Matrix::glorot(config.dims[l], config.dims[l + 1], rng);
-    layers_.emplace_back(std::move(w), /*apply_relu=*/!is_last);
+    // Layer 0's input is the feature matrix: no trainer reads its dM.
+    layers_.emplace_back(std::move(w), /*apply_relu=*/!is_last,
+                         /*compute_input_grad=*/l > 0);
   }
 }
 

@@ -40,6 +40,8 @@ struct GcnConfig {
 class GcnModel {
  public:
   GcnModel() = default;
+  /// Glorot-initialized layers; layer 0 leaves its backward's d_m empty
+  /// (gnn/layer.hpp).
   explicit GcnModel(const GcnConfig& config);
 
   int n_layers() const { return static_cast<int>(layers_.size()); }

@@ -75,6 +75,31 @@ TEST(GcnModel, PaperConfigShape) {
   EXPECT_FALSE(model.layer(2).has_relu());
 }
 
+TEST(GcnModel, FirstLayerSkipsInputGradient) {
+  // Layer 0's input is the feature matrix, so the model's layer 0 leaves
+  // d_m empty; its weight gradient is bitwise the standalone layer's.
+  const GcnModel model(GcnConfig::paper_3layer(8, 4));
+  GcnLayer model_layer = model.layer(0);
+  GcnLayer standalone(model.layer(0).weights(), model.layer(0).has_relu());
+  Rng rng(5);
+  const Matrix m = Matrix::random_uniform(6, 8, rng);
+  const Matrix d_h = Matrix::random_uniform(6, 16, rng);
+  (void)model_layer.forward(m);
+  (void)standalone.forward(m);
+  const auto back = model_layer.backward(d_h);
+  const auto want = standalone.backward(d_h);
+  EXPECT_EQ(back.d_m.size(), 0u);
+  EXPECT_EQ(want.d_m.n_rows(), 6);
+  EXPECT_EQ(want.d_m.n_cols(), 8);
+  EXPECT_TRUE(back.d_weights == want.d_weights);
+  EXPECT_TRUE(back.d_z == want.d_z);
+
+  // Deeper layers still compute it.
+  GcnLayer second = model.layer(1);
+  (void)second.forward(Matrix::random_uniform(6, 16, rng));
+  EXPECT_EQ(second.backward(d_h).d_m.n_cols(), 16);
+}
+
 TEST(GcnModel, SameSeedIdenticalWeights) {
   const GcnConfig cfg = GcnConfig::paper_3layer(8, 4);
   const GcnModel a(cfg), b(cfg);

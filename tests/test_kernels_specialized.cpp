@@ -2,9 +2,16 @@
 // bitwise equal to its serial *_reference twin — across odd widths, the
 // hidden width 16 and the common input widths 32/64/128, degenerate row
 // counts, empty rows, dense rows, all-equal row degrees, all-zero
-// matrices, and thread counts {1, 2, 8}. Matrix::operator== is exact
-// element equality — no tolerance anywhere in this file.
+// matrices, and thread counts {1, 2, 8}; every 16/8/4/1 register-strip
+// tail of the SpMM and GEMM row kernels and every m % 4 tail of A^T B; and
+// the column-window form of spmm_accumulate against the reference on
+// sliced copies. Matrix::operator== is exact element equality — no
+// tolerance anywhere in this file.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "dense/gemm.hpp"
@@ -176,6 +183,158 @@ TEST(SpecializedKernels, GemmABtWidthSweepBitwiseMatchesReference) {
       EXPECT_TRUE(gemm_a_bt(a, b) == want) << "n=" << n << " threads=" << t;
     }
   }
+}
+
+// ---- Register strips: every 16/8/4/1 tail, accumulating into a nonzero Z ----
+
+/// Widths 1..33 reach every combination of 16-, 8-, 4- and 1-wide strips;
+/// 64 and 128 run several 16-wide strips per row.
+std::vector<vid_t> strip_widths() {
+  std::vector<vid_t> widths;
+  for (vid_t f = 1; f <= 33; ++f) widths.push_back(f);
+  widths.push_back(64);
+  widths.push_back(128);
+  return widths;
+}
+
+TEST(StripKernels, SpmmEveryStripTailBitwiseMatchesReference) {
+  ThreadCountGuard guard;
+  Rng rng(81);
+  for (const vid_t n : kRowCounts) {
+    const vid_t cols = n == 1 ? 40 : n / 2 + 8;
+    const eid_t nnz = static_cast<eid_t>(n) * 4 + 16;
+    const CsrMatrix random = random_csr(n, cols, nnz, 2000 + n);
+    const CsrMatrix ragged = ragged_csr(n, cols, 3000 + n);
+    for (const CsrMatrix* a : {&random, &ragged}) {
+      for (const vid_t f : strip_widths()) {
+        const Matrix h = Matrix::random_uniform(cols, f, rng);
+        // A nonzero starting Z: each strip must load it before adding.
+        const Matrix z0 = Matrix::random_uniform(n, f, rng);
+        Matrix want = z0;
+        spmm_accumulate_reference(*a, h, want);
+        for (int t : kThreadCounts) {
+          set_parallel_threads(t);
+          Matrix got = z0;
+          spmm_accumulate(*a, h, got);
+          EXPECT_TRUE(got == want)
+              << "n=" << n << " nnz=" << a->nnz() << " f=" << f << " threads=" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(StripKernels, GemmEveryStripTailBitwiseMatchesReference) {
+  ThreadCountGuard guard;
+  Rng rng(82);
+  for (const vid_t m : kRowCounts) {
+    for (const vid_t k : strip_widths()) {
+      const vid_t inner = 13;
+      const Matrix a = Matrix::random_uniform(m, inner, rng);
+      const Matrix b = Matrix::random_uniform(inner, k, rng);
+      const Matrix c0 = Matrix::random_uniform(m, k, rng);
+      Matrix want = c0;
+      gemm_accumulate_reference(a, b, want);
+      for (int t : kThreadCounts) {
+        set_parallel_threads(t);
+        Matrix got = c0;
+        gemm_accumulate(a, b, got);
+        EXPECT_TRUE(got == want) << "m=" << m << " k=" << k << " threads=" << t;
+      }
+    }
+  }
+}
+
+TEST(StripKernels, GemmAtBFourRowPassAndTailsBitwiseMatchReference) {
+  ThreadCountGuard guard;
+  Rng rng(83);
+  // m % 4 covers the four-row pass alone (4, 1000) and with each tail
+  // (1, 2, 3, 5); n and k cross the 48 x 64 tile edges.
+  for (const vid_t m : {1, 2, 3, 4, 5, 1000}) {
+    for (const vid_t n : {3, 49}) {
+      for (const vid_t k : {1, 5, 16, 65}) {
+        const Matrix a = Matrix::random_uniform(m, n, rng);
+        const Matrix b = Matrix::random_uniform(m, k, rng);
+        const Matrix want = gemm_at_b_reference(a, b);
+        for (int t : kThreadCounts) {
+          set_parallel_threads(t);
+          EXPECT_TRUE(gemm_at_b(a, b) == want)
+              << "m=" << m << " n=" << n << " k=" << k << " threads=" << t;
+        }
+      }
+    }
+  }
+}
+
+// ---- The column-window form of spmm_accumulate ----
+
+/// Z[:, z_col, z_col + width) += A·H[:, h_col, h_col + width) computed by the
+/// reference kernel on sliced copies and pasted back.
+Matrix window_reference(const CsrMatrix& a, const Matrix& h, vid_t h_col,
+                        const Matrix& z, vid_t z_col, vid_t width) {
+  Matrix z_window = z.slice_cols(z_col, z_col + width);
+  spmm_accumulate_reference(a, h.slice_cols(h_col, h_col + width), z_window);
+  Matrix out = z;
+  out.paste_cols(z_col, z_window);
+  return out;
+}
+
+TEST(SpmmWindow, BitwiseMatchesReferenceOnSlicedCopies) {
+  ThreadCountGuard guard;
+  Rng rng(84);
+  const vid_t n = 300, cols = 170;
+  const CsrMatrix a = random_csr(n, cols, 2000, 85);
+  const Matrix h = Matrix::random_uniform(cols, 41, rng);
+  const Matrix z0 = Matrix::random_uniform(n, 37, rng);
+  const auto check = [&](vid_t h_col, vid_t z_col, vid_t width) {
+    const Matrix want = window_reference(a, h, h_col, z0, z_col, width);
+    for (int t : kThreadCounts) {
+      set_parallel_threads(t);
+      Matrix got = z0;
+      spmm_accumulate(a, h, h_col, got, z_col, width);
+      EXPECT_TRUE(got == want) << "h_col=" << h_col << " z_col=" << z_col
+                               << " width=" << width << " threads=" << t;
+      // Columns outside the window keep their exact bits.
+      for (vid_t r = 0; r < n; ++r) {
+        for (vid_t c = 0; c < z0.n_cols(); ++c) {
+          if (c >= z_col && c < z_col + width) continue;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got(r, c)),
+                    std::bit_cast<std::uint32_t>(z0(r, c)))
+              << "r=" << r << " c=" << c << " window " << z_col << "+" << width;
+        }
+      }
+    }
+  };
+  // Unequal offsets (every strip width runs at an offset).
+  check(3, 11, 17);
+  check(5, 9, 28);
+  // At the right edge of H, of Z, and a full-width read of H.
+  check(24, 0, 17);
+  check(0, 20, 17);
+  check(4, 0, 37);
+  // Width 0, also at the far edges of both.
+  check(0, 0, 0);
+  check(41, 37, 0);
+}
+
+TEST(SpmmWindow, OutOfRangeWindowThrows) {
+  const CsrMatrix a = random_csr(10, 8, 30, 86);
+  const Matrix h(8, 6);
+  Matrix z(10, 5);
+  EXPECT_NO_THROW(spmm_accumulate(a, h, 1, z, 0, 5));
+  // Past the right edge of H, then of Z; an empty window starting past H.
+  EXPECT_THROW(spmm_accumulate(a, h, 2, z, 0, 5), Error);
+  EXPECT_THROW(spmm_accumulate(a, h, 0, z, 1, 5), Error);
+  EXPECT_THROW(spmm_accumulate(a, h, 7, z, 0, 0), Error);
+  // Negative offsets and width.
+  EXPECT_THROW(spmm_accumulate(a, h, -1, z, 0, 2), Error);
+  EXPECT_THROW(spmm_accumulate(a, h, 0, z, -1, 2), Error);
+  EXPECT_THROW(spmm_accumulate(a, h, 0, z, 0, -1), Error);
+  // Row counts that disagree with A.
+  Matrix z_rows(9, 5);
+  EXPECT_THROW(spmm_accumulate(a, h, 0, z_rows, 0, 5), Error);
+  const Matrix h_rows(7, 6);
+  EXPECT_THROW(spmm_accumulate(a, h_rows, 0, z, 0, 5), Error);
 }
 
 }  // namespace

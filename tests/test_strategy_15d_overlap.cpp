@@ -92,6 +92,24 @@ TEST(Spmm15dPipelined, BitwiseIdenticalToBulkMultiply) {
   }
 }
 
+TEST(Spmm15dPipelined, OddWidthChunkWindowsBitwiseIdenticalToBulk) {
+  // f = 33 leaves uneven chunk widths (11/11/11, 8/8/8/9, ..., 33 x 1), so
+  // every chunk's in-place window of Z starts at a different column and
+  // runs a different 16/8/4/1 strip tail.
+  Rng rng(14);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(64, 500, rng));
+  const Matrix h = Matrix::random_uniform(64, 33, rng);
+  const auto bulk = run_15d(a, h, 8, 2, /*chunks=*/-1);
+  for (int chunks : {1, 2, 3, 4, 33}) {
+    const auto pipe = run_15d(a, h, 8, 2, chunks);
+    for (int r = 0; r < 8; ++r) {
+      const Matrix& got = pipe.replicas[static_cast<std::size_t>(r)];
+      const Matrix& want = bulk.replicas[static_cast<std::size_t>(r)];
+      EXPECT_TRUE(got == want) << "chunks=" << chunks << " rank " << r;
+    }
+  }
+}
+
 TEST(Spmm15dPipelined, StageTagsContinueAcrossMultiplies) {
   // Two back-to-back multiplies with one stage counter model two layers:
   // the second multiply's first exchange must land in the pipeline slot
