@@ -48,16 +48,6 @@ Matrix Matrix::slice_rows(vid_t begin, vid_t end) const {
   return out;
 }
 
-Matrix Matrix::slice_cols(vid_t begin, vid_t end) const {
-  SAGNN_REQUIRE(begin >= 0 && begin <= end && end <= n_cols_,
-                "slice_cols range out of bounds");
-  Matrix out(n_rows_, end - begin);
-  for (vid_t r = 0; r < n_rows_; ++r) {
-    std::copy(row(r) + begin, row(r) + end, out.row(r));
-  }
-  return out;
-}
-
 void Matrix::paste_cols(vid_t begin, const Matrix& src) {
   SAGNN_REQUIRE(src.n_rows() == n_rows_ && begin >= 0 &&
                     begin + src.n_cols() <= n_cols_,

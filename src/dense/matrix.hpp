@@ -54,12 +54,8 @@ class Matrix {
   /// Extract rows [begin, end) as a new matrix.
   Matrix slice_rows(vid_t begin, vid_t end) const;
 
-  /// Extract columns [begin, end) as a new matrix. Used by the pipelined
-  /// strategies, which process the feature dimension in column chunks.
-  Matrix slice_cols(vid_t begin, vid_t end) const;
-
-  /// Copy `src` into columns [begin, begin + src.n_cols()) of *this*
-  /// (inverse of slice_cols; row counts must match).
+  /// Copy `src` into columns [begin, begin + src.n_cols()) of *this* (row
+  /// counts must match).
   void paste_cols(vid_t begin, const Matrix& src);
 
   /// Gather the given rows (in order) into a new matrix. Used by the

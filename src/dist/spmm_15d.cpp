@@ -20,13 +20,31 @@ DistSpmm15d::DistSpmm15d(Comm& comm, const CsrMatrix& a,
       grid_row_(layout_.grid_row(comm.rank())),
       grid_col_(layout_.grid_col(comm.rank())),
       mode_(mode),
-      local_(a, ranges, grid_row_),
+      ranges_(ranges.begin(), ranges.end()),
       col_comm_(layout_.s == 1
                     ? comm
                     : comm.split([this](int r) { return layout_.grid_col(r); })),
       row_comm_(comm.split([this](int r) { return layout_.grid_row(r); })) {
-  SAGNN_REQUIRE(static_cast<int>(ranges.size()) == layout_.rows,
+  SAGNN_REQUIRE(static_cast<int>(ranges_.size()) == layout_.rows,
                 "1.5D needs one block row per grid row");
+  SAGNN_REQUIRE(a.n_rows() == a.n_cols(), "distributed matrix must be square");
+  {
+    // split_block_cols rejects ranges that do not tile [0, n). The split
+    // is scoped so the unassigned blocks are freed before the index
+    // exchange below, which every rank reaches while still constructing.
+    std::vector<CsrMatrix> split =
+        split_block_cols(extract_row_block(a, my_range()), ranges_);
+    blocks_.resize(ranges_.size());
+    for (int j = 0; j < layout_.rows; ++j) {
+      if (!assigned(j)) continue;
+      auto& block = split[static_cast<std::size_t>(j)];
+      if (mode_ == SpmmMode::kSparsityAware) {
+        blocks_[static_cast<std::size_t>(j)] = compact_columns(std::move(block));
+      } else {
+        blocks_[static_cast<std::size_t>(j)].matrix = std::move(block);
+      }
+    }
+  }
   if (mode_ != SpmmMode::kSparsityAware) return;
 
   // Index exchange within the grid column: request the needed rows of every
@@ -34,14 +52,14 @@ DistSpmm15d::DistSpmm15d(Comm& comm, const CsrMatrix& a,
   std::vector<std::vector<vid_t>> wants(static_cast<std::size_t>(layout_.rows));
   for (int j = 0; j < layout_.rows; ++j) {
     if (j == grid_row_ || !assigned(j)) continue;
-    wants[static_cast<std::size_t>(j)] = local_.needed_rows(j);
+    wants[static_cast<std::size_t>(j)] = blocks_[static_cast<std::size_t>(j)].cols;
   }
   requests_ = alltoallv<vid_t>(col_comm_, wants, "index_exchange");
   requests_[static_cast<std::size_t>(grid_row_)].clear();
 }
 
 Matrix DistSpmm15d::multiply(const Matrix& h_local, double* cpu_seconds) {
-  SAGNN_REQUIRE(h_local.n_rows() == local_.local_rows(),
+  SAGNN_REQUIRE(h_local.n_rows() == my_range().size(),
                 "H block must match this rank's row range");
   if (mode_ == SpmmMode::kSparsityAware) {
     // The bulk-synchronous sparsity-aware multiply IS the single-chunk
@@ -51,13 +69,13 @@ Matrix DistSpmm15d::multiply(const Matrix& h_local, double* cpu_seconds) {
   }
 
   const vid_t f = h_local.n_cols();
-  Matrix z(local_.local_rows(), f);
+  Matrix z(my_range().size(), f);
   // Oblivious: broadcast whole blocks within the grid column; each block
   // is broadcast only inside the columns assigned to it, so the per-rank
   // broadcast volume shrinks ~c-fold versus 1D.
   for (int j = 0; j < layout_.rows; ++j) {
     if (!assigned(j)) continue;
-    const vid_t rows = local_.ranges()[static_cast<std::size_t>(j)].size();
+    const vid_t rows = ranges_[static_cast<std::size_t>(j)].size();
     std::vector<real_t> buf;
     if (j == grid_row_) {
       buf.assign(h_local.data(), h_local.data() + h_local.size());
@@ -67,7 +85,7 @@ Matrix DistSpmm15d::multiply(const Matrix& h_local, double* cpu_seconds) {
     bcast<real_t>(col_comm_, j, buf, "bcast");
     ThreadCpuTimer timer;
     const Matrix h_j(rows, f, std::move(buf));
-    spmm_accumulate(local_.plain_block(j), h_j, z);
+    spmm_accumulate(blocks_[static_cast<std::size_t>(j)].matrix, h_j, z);
     if (cpu_seconds != nullptr) *cpu_seconds += timer.seconds();
   }
 
@@ -83,7 +101,7 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
                                        int* stage_counter, double* cpu) {
   SAGNN_REQUIRE(mode_ == SpmmMode::kSparsityAware,
                 "pipelined multiply needs the sparsity-aware index exchange");
-  SAGNN_REQUIRE(h_local.n_rows() == local_.local_rows(),
+  SAGNN_REQUIRE(h_local.n_rows() == my_range().size(),
                 "H block must match this rank's row range");
   const vid_t f = h_local.n_cols();
   const int k_chunks =
@@ -125,12 +143,12 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
 
   // Own block: gather the full-width rows once; each chunk reads its column
   // window (only needed when our own block row is assigned to this
-  // replica).
+  // replica; an unassigned block is stored empty).
   Matrix own_packed;
-  if (assigned(grid_row_) &&
-      local_.compacted_block(grid_row_).matrix.nnz() > 0) {
+  const CompactedBlock& own = blocks_[static_cast<std::size_t>(grid_row_)];
+  if (own.matrix.nnz() > 0) {
     ThreadCpuTimer gather_timer;
-    own_packed = h_local.gather_rows(local_.compacted_block(grid_row_).cols);
+    own_packed = h_local.gather_rows(own.cols);
     if (cpu != nullptr) *cpu += gather_timer.seconds();
   }
 
@@ -139,7 +157,7 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
   // and the peers' eager isends in flight — through both the wait and the
   // local SpMM of chunk k. wait() at the chunk boundary records the
   // measured hidden/blocked split of that window.
-  Matrix z(local_.local_rows(), f);
+  Matrix z(my_range().size(), f);
   auto in_flight = exchange(0);
   for (int k = 0; k < k_chunks; ++k) {
     PendingAlltoall<real_t> next;
@@ -154,7 +172,7 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
     // the same window of its full-width rows.
     for (int j = 0; j < layout_.rows; ++j) {
       if (!assigned(j)) continue;
-      const CompactedBlock& block = local_.compacted_block(j);
+      const CompactedBlock& block = blocks_[static_cast<std::size_t>(j)];
       if (block.matrix.nnz() == 0) continue;
       if (j == grid_row_) {
         spmm_accumulate(block.matrix, own_packed, c0, z, c0, fc);

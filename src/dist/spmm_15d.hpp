@@ -22,10 +22,19 @@
 //                    needed-row index lists are exchanged ONCE at
 //                    construction (phase "index_exchange", which the
 //                    trainer excludes from per-epoch cost).
+//
+// A rank stores only the blocks A^T_{ij} of its block row i that its grid
+// column multiplies, in the one form its mode reads: column-compacted
+// (its columns renumbered onto NnzCols(i, j)) in sparsity-aware mode, plain
+// in oblivious mode, where H_j arrives whole.
+
+#include <span>
+#include <vector>
 
 #include "dense/matrix.hpp"
-#include "dist/dist_csr.hpp"
+#include "dist/spmm_mode.hpp"
 #include "simcomm/collectives.hpp"
+#include "sparse/blocks.hpp"
 
 namespace sagnn {
 
@@ -45,15 +54,18 @@ struct GridLayout {
 
 class DistSpmm15d {
  public:
-  /// Collective over `comm` (all ranks construct together). `ranges` must
-  /// have exactly P/c entries. Communicators are split (or, at c = 1,
+  /// Collective over `comm` (all ranks construct together). `a` must be
+  /// square and `ranges` must have exactly P/c entries that tile [0, n) in
+  /// order (throws otherwise). Communicators are split (or, at c = 1,
   /// copied) here and kept by value, so the object stays usable after the
   /// constructing call frame.
   DistSpmm15d(Comm& comm, const CsrMatrix& a, std::span<const BlockRange> ranges,
               int c, SpmmMode mode);
 
   const GridLayout& layout() const { return layout_; }
-  const BlockRange& my_range() const { return local_.my_range(); }
+  const BlockRange& my_range() const {
+    return ranges_[static_cast<std::size_t>(grid_row_)];
+  }
   /// One replica of every block row — the communicator for global
   /// reductions of losses and weight gradients.
   Comm& col_comm() { return col_comm_; }
@@ -99,7 +111,12 @@ class DistSpmm15d {
   int grid_row_ = 0;
   int grid_col_ = 0;
   SpmmMode mode_;
-  DistCsr local_;
+  std::vector<BlockRange> ranges_;  ///< the P/c block rows
+  /// blocks_[j]: A^T_{grid_row, j} with columns localized to block j when
+  /// assigned(j), empty otherwise. Sparsity-aware mode keeps it compacted
+  /// (`cols` = NnzCols, the rows of H_j it reads); oblivious mode keeps it
+  /// plain, with `cols` empty.
+  std::vector<CompactedBlock> blocks_;
   /// Same grid column; comm rank == grid row. At c = 1 a copy of the
   /// constructing communicator itself: its id stamps the 1D algorithm's
   /// tags, which the seeded lossy-link drops hash (FaultPlan).

@@ -39,15 +39,17 @@ DistSpmm3d::DistSpmm3d(Comm& comm, const CsrMatrix& a,
   SAGNN_REQUIRE(static_cast<int>(ranges.size()) == grid_.q,
                 "3D needs one block per grid dimension");
   SAGNN_REQUIRE(a.n_rows() == a.n_cols(), "distributed matrix must be square");
-  SAGNN_REQUIRE(ranges.front().begin == 0 && ranges.back().end == a.n_rows(),
-                "block ranges must tile [0, n)");
   input_range_ = ranges[static_cast<std::size_t>(grid_col_)];
   output_range_ = ranges[static_cast<std::size_t>(grid_row_)];
 
-  const CsrMatrix row_block = extract_row_block(a, output_range_);
-  tile_ = std::move(
-      split_block_cols(row_block, ranges)[static_cast<std::size_t>(grid_col_)]);
-  compacted_ = compact_columns(tile_);
+  // split_block_cols rejects ranges that do not tile [0, n).
+  auto blocks = split_block_cols(extract_row_block(a, output_range_), ranges);
+  CsrMatrix& tile = blocks[static_cast<std::size_t>(grid_col_)];
+  if (mode_ == SpmmMode::kSparsityAware) {
+    tile_ = compact_columns(std::move(tile));
+  } else {
+    tile_.matrix = std::move(tile);
+  }
 }
 
 Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
@@ -58,23 +60,22 @@ Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
   const vid_t end = slice_begin(f, layer_ + 1);
   const vid_t w = end - begin;
 
-  // Local partial on this layer's feature slice. Every member of the
-  // layer's grid row shares `w` (same layer), so skipping empty slices
-  // below is symmetric across each collective's communicator.
+  // Local partial on this layer's feature slice, read in place as the
+  // column window [begin, end): the plain tile reads it straight from H,
+  // the compacted tile from its needed rows, gathered once at full width.
+  // Every member of the layer's grid row shares `w` (same layer), so
+  // skipping empty slices below is symmetric across each collective's
+  // communicator.
   ThreadCpuTimer timer;
   Matrix z(output_range_.size(), w);
   if (w > 0) {
-    // At d = 1 the slice is the whole input: read it in place.
-    Matrix sliced;
-    if (grid_.d > 1) sliced = h_local.slice_cols(begin, end);
-    const Matrix& x = grid_.d > 1 ? sliced : h_local;
     if (mode_ == SpmmMode::kSparsityAware) {
-      if (compacted_.matrix.nnz() > 0) {
-        const Matrix packed = x.gather_rows(compacted_.cols);
-        spmm_accumulate(compacted_.matrix, packed, z);
+      if (tile_.matrix.nnz() > 0) {
+        const Matrix packed = h_local.gather_rows(tile_.cols);
+        spmm_accumulate(tile_.matrix, packed, begin, z, 0, w);
       }
     } else {
-      spmm_accumulate(tile_, x, z);
+      spmm_accumulate(tile_.matrix, h_local, begin, z, 0, w);
     }
   }
   if (cpu_seconds != nullptr) *cpu_seconds += timer.seconds();

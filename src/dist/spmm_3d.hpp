@@ -16,17 +16,21 @@
 // The Z all-reduce moves dense blocks whose size is independent of the
 // graph's sparsity — the structural reason CAGNET (and the paper) prefer
 // 1D/1.5D for GNN training. kSparsityAware here only compacts the local
-// working set (the kernel reads packed rows); it cannot shrink the wire
-// volume. Against d = 1 at the same q, the all-reduce and the transpose
-// shrink by d (they move a 1/d feature slice), at the price of a depth
-// all-gather moving (d-1)/d of the full width — the classic CA trade (more
-// memory/ranks for less reduced volume). For GNN-shaped f (narrow
-// features) the latency of the extra fiber ring dominates quickly; the
-// planner quantifies exactly where.
+// working set (the rank stores its tile column-compacted and the kernel
+// reads packed rows); it cannot shrink the wire volume. kOblivious stores
+// the plain tile and reads H in place. Against d = 1 at the same q, the
+// all-reduce and the transpose shrink by d (they move a 1/d feature
+// slice), at the price of a depth all-gather moving (d-1)/d of the full
+// width — the classic CA trade (more memory/ranks for less reduced
+// volume). For GNN-shaped f (narrow features) the latency of the extra
+// fiber ring dominates quickly; the planner quantifies exactly where.
+
+#include <span>
 
 #include "dense/matrix.hpp"
-#include "dist/dist_csr.hpp"
+#include "dist/spmm_mode.hpp"
 #include "simcomm/collectives.hpp"
+#include "sparse/blocks.hpp"
 
 namespace sagnn {
 
@@ -49,7 +53,8 @@ struct CubeGrid {
 
 class DistSpmm3d {
  public:
-  /// Collective over `comm`; `ranges` must have exactly q entries.
+  /// Collective over `comm`. `a` must be square and `ranges` must have
+  /// exactly q entries that tile [0, n) in order (throws otherwise).
   DistSpmm3d(Comm& comm, const CsrMatrix& a, std::span<const BlockRange> ranges,
              int depth, SpmmMode mode);
 
@@ -68,9 +73,9 @@ class DistSpmm3d {
   }
 
   /// One full aggregation Â·H, input and output in H residency at full
-  /// feature width: slice, partial tile SpMM, layer-row all-reduce,
-  /// transpose remap, depth all-gather (the slice and the all-gather only
-  /// when d > 1).
+  /// feature width: partial tile SpMM on this layer's feature slice (read
+  /// in place as a column window of H), layer-row all-reduce, transpose
+  /// remap, depth all-gather (only when d > 1).
   Matrix propagate(const Matrix& h_local, double* cpu_seconds = nullptr);
 
  private:
@@ -81,8 +86,9 @@ class DistSpmm3d {
   SpmmMode mode_;
   BlockRange input_range_;
   BlockRange output_range_;
-  CsrMatrix tile_;           ///< Â_{ij}, columns localized to block j
-  CompactedBlock compacted_; ///< column-compacted tile (sparsity-aware kernel)
+  /// Â_{ij}, columns localized to block j: column-compacted in
+  /// sparsity-aware mode, plain (with `cols` empty) in oblivious mode.
+  CompactedBlock tile_;
   Comm world_;               ///< copy of the constructing communicator
   Comm row_comm_;            ///< same (layer, grid row); comm rank == grid col
   Comm fiber_comm_;          ///< same (grid row, grid col); comm rank == layer

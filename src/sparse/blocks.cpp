@@ -49,7 +49,15 @@ CsrMatrix extract_row_block(const CsrMatrix& a, BlockRange range) {
 std::vector<CsrMatrix> split_block_cols(const CsrMatrix& a,
                                         std::span<const BlockRange> ranges) {
   SAGNN_REQUIRE(!ranges.empty(), "need at least one column range");
-  SAGNN_REQUIRE(ranges.back().end == a.n_cols(),
+  // Every column must map to exactly one block below, so the ranges must
+  // tile the column space from 0 without gaps or overlaps.
+  vid_t covered = 0;
+  for (const BlockRange& range : ranges) {
+    SAGNN_REQUIRE(range.begin == covered && range.end >= range.begin,
+                  "column ranges must tile [0, n_cols) in order");
+    covered = range.end;
+  }
+  SAGNN_REQUIRE(covered == a.n_cols(),
                 "column ranges must cover the full column space");
   const int p = static_cast<int>(ranges.size());
 
@@ -109,21 +117,15 @@ std::vector<vid_t> nnz_cols(const CsrMatrix& a) {
   return out;
 }
 
-CompactedBlock compact_columns(const CsrMatrix& a) {
+CompactedBlock compact_columns(CsrMatrix a) {
   CompactedBlock out;
   out.cols = nnz_cols(a);
   std::vector<vid_t> remap(static_cast<std::size_t>(a.n_cols()), -1);
   for (std::size_t i = 0; i < out.cols.size(); ++i) {
     remap[static_cast<std::size_t>(out.cols[i])] = static_cast<vid_t>(i);
   }
-  std::vector<eid_t> row_ptr(a.row_ptr().begin(), a.row_ptr().end());
-  std::vector<vid_t> col_idx(a.col_idx().size());
-  for (std::size_t k = 0; k < col_idx.size(); ++k) {
-    col_idx[k] = remap[static_cast<std::size_t>(a.col_idx()[k])];
-  }
-  std::vector<real_t> vals(a.vals().begin(), a.vals().end());
-  out.matrix = CsrMatrix(a.n_rows(), static_cast<vid_t>(out.cols.size()),
-                         std::move(row_ptr), std::move(col_idx), std::move(vals));
+  a.renumber_cols(remap, static_cast<vid_t>(out.cols.size()));
+  out.matrix = std::move(a);
   return out;
 }
 

@@ -35,7 +35,8 @@ std::vector<BlockRange> ranges_from_sizes(std::span<const vid_t> sizes);
 CsrMatrix extract_row_block(const CsrMatrix& a, BlockRange range);
 
 /// Split `a` by column into one CSR per range; column indices are localized
-/// to each block (global col c -> c - range.begin).
+/// to each block (global col c -> c - range.begin). The ranges must tile
+/// [0, a.n_cols()) in order (throws otherwise).
 std::vector<CsrMatrix> split_block_cols(const CsrMatrix& a,
                                         std::span<const BlockRange> ranges);
 
@@ -51,7 +52,9 @@ struct CompactedBlock {
   std::vector<vid_t> cols; // original column ids, sorted ascending
 };
 
-/// Compact the columns of `a` (drop empty columns, remap indices).
-CompactedBlock compact_columns(const CsrMatrix& a);
+/// Compact the columns of `a` (drop empty columns, remap indices). The
+/// block's columns are renumbered in place, so passing an rvalue moves its
+/// arrays into the result instead of copying them.
+CompactedBlock compact_columns(CsrMatrix a);
 
 }  // namespace sagnn

@@ -89,6 +89,23 @@ void CsrMatrix::normalize_symmetric() {
   }
 }
 
+void CsrMatrix::renumber_cols(std::span<const vid_t> new_id, vid_t n_cols) {
+  SAGNN_REQUIRE(n_cols >= 0 && new_id.size() == static_cast<std::size_t>(n_cols_),
+                "renumber_cols needs one new id per column");
+  // Check every row before writing, so a bad map changes nothing.
+  for (vid_t r = 0; r < n_rows_; ++r) {
+    vid_t prev = -1;
+    for (eid_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const vid_t c = new_id[static_cast<std::size_t>(col_idx_[k])];
+      SAGNN_REQUIRE(c > prev && c < n_cols,
+                    "renumbered columns must stay in range and increasing");
+      prev = c;
+    }
+  }
+  for (vid_t& c : col_idx_) c = new_id[static_cast<std::size_t>(c)];
+  n_cols_ = n_cols;
+}
+
 void CsrMatrix::validate() const {
   SAGNN_REQUIRE(n_rows_ >= 0 && n_cols_ >= 0, "negative dimensions");
   SAGNN_REQUIRE(row_ptr_.size() == static_cast<std::size_t>(n_rows_) + 1,

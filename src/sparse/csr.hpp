@@ -56,6 +56,12 @@ class CsrMatrix {
   /// where D is the row-sum degree diagonal of *this*. Requires square.
   void normalize_symmetric();
 
+  /// Replace every column index c by new_id[c] (one entry per current
+  /// column) and set the column count to n_cols. Throws, leaving *this
+  /// unchanged, unless every renumbered index lies in [0, n_cols) and each
+  /// row stays strictly increasing.
+  void renumber_cols(std::span<const vid_t> new_id, vid_t n_cols);
+
   /// Check all invariants; throws Error on violation (used by tests and by
   /// deserialization paths).
   void validate() const;

@@ -79,6 +79,26 @@ TEST(Blocks, SplitBlockColsPartitionNnz) {
   }
 }
 
+TEST(Blocks, SplitBlockColsRejectsRangesThatDoNotTileFromZero) {
+  // Column 0 of an 8 x 8 identity belongs to no range of {[1, 4), [4, 8)}.
+  std::vector<eid_t> row_ptr{0, 1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<vid_t> col_idx{0, 1, 2, 3, 4, 5, 6, 7};
+  const CsrMatrix eye(8, 8, std::move(row_ptr), std::move(col_idx),
+                      std::vector<real_t>(8, real_t{1}));
+  const auto split = [&](std::vector<BlockRange> ranges) {
+    return split_block_cols(eye, ranges);
+  };
+  EXPECT_EQ(split({{0, 4}, {4, 8}}).size(), 2u);
+  EXPECT_EQ(split({{0, 4}, {4, 4}, {4, 8}}).size(), 3u);  // empty range
+  EXPECT_THROW(split({{1, 4}, {4, 8}}), Error);           // not from 0
+  EXPECT_THROW(split({{0, 3}, {4, 8}}), Error);           // gap
+  EXPECT_THROW(split({{0, 5}, {4, 8}}), Error);           // overlap
+  EXPECT_THROW(split({{4, 8}, {0, 4}}), Error);           // out of order
+  EXPECT_THROW(split({{0, 5}, {5, 4}, {4, 8}}), Error);   // negative size
+  EXPECT_THROW(split({{0, 4}, {4, 7}}), Error);           // short of n
+  EXPECT_THROW(split({}), Error);
+}
+
 TEST(Blocks, SplitThenSpmmEqualsFullSpmm) {
   Rng rng(3);
   const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(48, 400, rng));
@@ -131,6 +151,37 @@ TEST(Blocks, CompactionSavesExactlyEmptyColumns) {
               static_cast<vid_t>(nnz_cols(b).size()));
     EXPECT_LE(cb.matrix.n_cols(), b.n_cols());
     EXPECT_EQ(cb.matrix.nnz(), b.nnz());
+  }
+}
+
+TEST(Blocks, CompactedColsAreEachBlocksLocalNnzCols) {
+  // For every block A^T_{ij} of every block row, the compacted `cols` are
+  // NnzCols(i, j): the sorted, block-local rows of H_j the block reads.
+  Rng rng(5);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(48, 300, rng));
+  const auto ranges = uniform_block_ranges(48, 3);
+  for (const BlockRange& row : ranges) {
+    const auto blocks = split_block_cols(extract_row_block(a, row), ranges);
+    for (std::size_t j = 0; j < blocks.size(); ++j) {
+      const CompactedBlock cb = compact_columns(blocks[j]);
+      EXPECT_EQ(cb.cols, nnz_cols(blocks[j]));
+      for (vid_t c : cb.cols) {
+        EXPECT_GE(c, 0);
+        EXPECT_LT(c, ranges[j].size());
+      }
+    }
+  }
+}
+
+TEST(Blocks, CompactColumnsOfMovedBlockEqualsCompactionOfCopy) {
+  Rng rng(6);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(64, 400, rng));
+  for (CsrMatrix& block : split_block_cols(a, uniform_block_ranges(64, 4))) {
+    const CompactedBlock from_copy = compact_columns(block);
+    const CompactedBlock from_move = compact_columns(std::move(block));
+    EXPECT_TRUE(from_move.matrix == from_copy.matrix);
+    EXPECT_EQ(from_move.cols, from_copy.cols);
+    from_move.matrix.validate();
   }
 }
 

@@ -137,5 +137,25 @@ TEST(Csr, ValidateRejectsBadRowPtr) {
   EXPECT_THROW(CsrMatrix(2, 2, ptr, col, val), Error);
 }
 
+TEST(Csr, RenumberColsKeepsRowsSortedOrThrowsUnchanged) {
+  CooMatrix coo(2, 4);
+  coo.add(0, 1, 1.0f);
+  coo.add(0, 3, 2.0f);
+  coo.add(1, 2, 3.0f);
+  CsrMatrix a = CsrMatrix::from_coo(coo);
+  const CsrMatrix before = a;
+  // Row 0 would read 1, 0; id 2 lies outside [0, 2); one id per column.
+  EXPECT_THROW(a.renumber_cols(std::vector<vid_t>{0, 1, 2, 0}, 3), Error);
+  EXPECT_THROW(a.renumber_cols(std::vector<vid_t>{0, 0, 1, 2}, 2), Error);
+  EXPECT_THROW(a.renumber_cols(std::vector<vid_t>{0, 1, 2}, 3), Error);
+  EXPECT_TRUE(a == before);
+  a.renumber_cols(std::vector<vid_t>{-1, 0, 1, 2}, 3);
+  EXPECT_EQ(a.n_cols(), 3);
+  EXPECT_FLOAT_EQ(a.at(0, 0), 1.0f);
+  EXPECT_FLOAT_EQ(a.at(0, 2), 2.0f);
+  EXPECT_FLOAT_EQ(a.at(1, 1), 3.0f);
+  a.validate();
+}
+
 }  // namespace
 }  // namespace sagnn

@@ -9,6 +9,7 @@
 // tolerance anywhere in this file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -268,12 +269,21 @@ TEST(StripKernels, GemmAtBFourRowPassAndTailsBitwiseMatchReference) {
 
 // ---- The column-window form of spmm_accumulate ----
 
+/// Columns [begin, end) of `m` as a new matrix.
+Matrix slice_cols(const Matrix& m, vid_t begin, vid_t end) {
+  Matrix out(m.n_rows(), end - begin);
+  for (vid_t r = 0; r < m.n_rows(); ++r) {
+    std::copy(m.row(r) + begin, m.row(r) + end, out.row(r));
+  }
+  return out;
+}
+
 /// Z[:, z_col, z_col + width) += A·H[:, h_col, h_col + width) computed by the
 /// reference kernel on sliced copies and pasted back.
 Matrix window_reference(const CsrMatrix& a, const Matrix& h, vid_t h_col,
                         const Matrix& z, vid_t z_col, vid_t width) {
-  Matrix z_window = z.slice_cols(z_col, z_col + width);
-  spmm_accumulate_reference(a, h.slice_cols(h_col, h_col + width), z_window);
+  Matrix z_window = slice_cols(z, z_col, z_col + width);
+  spmm_accumulate_reference(a, slice_cols(h, h_col, h_col + width), z_window);
   Matrix out = z;
   out.paste_cols(z_col, z_window);
   return out;

@@ -9,6 +9,7 @@
 
 #include "dist/spmm_15d.hpp"
 #include "graph/generators.hpp"
+#include "partition/metrics.hpp"
 #include "simcomm/cluster.hpp"
 #include "sparse/spmm.hpp"
 
@@ -125,13 +126,60 @@ TEST(Spmm15d, C1MatchesP2PVolumeOf1D) {
   const Matrix h = Matrix::random_uniform(60, 4, rng);
   TrafficRecorder traffic(1);
   run_dist_15d(a, h, 4, 1, SpmmMode::kSparsityAware, &traffic);
-  const auto ranges = uniform_block_ranges(60, 4);
-  std::uint64_t predicted = 0;
-  for (int r = 0; r < 4; ++r) {
-    predicted += DistCsr(a, ranges, r).total_needed_rows_remote();
-  }
-  predicted *= 4 * sizeof(real_t);
+  // The volume model of the uniform block partition run_dist_15d uses.
+  const std::uint64_t predicted =
+      compute_volume_stats(a, BlockPartitioner().partition(a, 4)).total_rows() *
+      4 * sizeof(real_t);
   EXPECT_EQ(traffic.phase("alltoall").total_bytes(), predicted);
+}
+
+TEST(Spmm15d, RejectsNonSquareMatrixAndRangesThatDoNotTile) {
+  const auto construct = [](const CsrMatrix& a, std::vector<BlockRange> ranges,
+                            SpmmMode mode) {
+    Cluster cluster(static_cast<int>(ranges.size()));
+    cluster.run([&](Comm& comm) {
+      const DistSpmm15d spmm_dist(comm, a, ranges, 1, mode);
+    });
+  };
+  const CsrMatrix a = CsrMatrix::zeros(8, 8);
+  for (SpmmMode mode : {SpmmMode::kOblivious, SpmmMode::kSparsityAware}) {
+    EXPECT_NO_THROW(construct(a, uniform_block_ranges(8, 2), mode));
+    EXPECT_THROW(construct(CsrMatrix::zeros(8, 9), {{0, 4}, {4, 8}}, mode), Error);
+    EXPECT_THROW(construct(a, {{1, 4}, {4, 8}}, mode), Error);  // not from 0
+    EXPECT_THROW(construct(a, {{0, 3}, {4, 8}}, mode), Error);  // gap
+    EXPECT_THROW(construct(a, {{0, 5}, {4, 8}}, mode), Error);  // overlap
+    EXPECT_THROW(construct(a, {{0, 4}, {4, 7}}, mode), Error);  // short of n
+  }
+}
+
+TEST(Spmm15d, BlockFormsMultiplyBitwiseAlike) {
+  // The oblivious plain blocks and the sparsity-aware compacted blocks hold
+  // the same nonzeros in the same CSR order, so every rank's output is
+  // bitwise identical across modes and schedules.
+  Rng rng(15);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(96, 900, rng));
+  const Matrix h = Matrix::random_uniform(96, 7, rng);
+  const int p = 16;
+  for (int c : {1, 2, 4}) {
+    const auto ranges = uniform_block_ranges(96, p / c);
+    std::vector<Matrix> oblivious(p), sparse(p), pipelined(p);
+    Cluster cluster(p);
+    cluster.run([&](Comm& comm) {
+      DistSpmm15d obl(comm, a, ranges, c, SpmmMode::kOblivious);
+      DistSpmm15d sa(comm, a, ranges, c, SpmmMode::kSparsityAware);
+      const BlockRange r = sa.my_range();
+      const Matrix h_local = h.slice_rows(r.begin, r.end);
+      const auto me = static_cast<std::size_t>(comm.rank());
+      oblivious[me] = obl.multiply(h_local);
+      sparse[me] = sa.multiply(h_local);
+      pipelined[me] = sa.multiply_pipelined(h_local, 3, nullptr);
+    });
+    for (int rank = 0; rank < p; ++rank) {
+      const auto me = static_cast<std::size_t>(rank);
+      EXPECT_TRUE(sparse[me] == oblivious[me]) << "c=" << c << " rank " << rank;
+      EXPECT_TRUE(pipelined[me] == oblivious[me]) << "c=" << c << " rank " << rank;
+    }
+  }
 }
 
 TEST(Spmm1d, SparseVolumeNeverExceedsOblivious) {
@@ -153,13 +201,11 @@ TEST(Spmm1d, SparseVolumeMatchesNnzColsPrediction) {
   const vid_t f = 8;
   const Matrix h = Matrix::random_uniform(80, f, rng);
   const int p = 5;
-  // Predict: sum over ranks of remote needed rows * f * sizeof(real_t).
-  const auto ranges = uniform_block_ranges(80, p);
-  std::uint64_t predicted = 0;
-  for (int r = 0; r < p; ++r) {
-    predicted += DistCsr(a, ranges, r).total_needed_rows_remote();
-  }
-  predicted *= static_cast<std::uint64_t>(f) * sizeof(real_t);
+  // Predict: remote rows of the block partition's volume model (the rows
+  // of H_j each block A^T_{ij}, i != j, reads) * f * sizeof(real_t).
+  const std::uint64_t predicted =
+      compute_volume_stats(a, BlockPartitioner().partition(a, p)).total_rows() *
+      static_cast<std::uint64_t>(f) * sizeof(real_t);
   TrafficRecorder traffic(1);
   run_dist_15d(a, h, p, 1, SpmmMode::kSparsityAware, &traffic);
   EXPECT_EQ(traffic.phase("alltoall").total_bytes(), predicted);

@@ -115,6 +115,35 @@ INSTANTIATE_TEST_SUITE_P(
         Case3d{64, 500, 7, 12, 3, SpmmMode::kSparsityAware},
         Case3d{32, 200, 2, 4, 4, SpmmMode::kSparsityAware}));
 
+TEST(Spmm3d, BlockFormsPropagateBitwiseAlike) {
+  // The oblivious tile reads the slice's window of H in place, the
+  // compacted tile the same window of its gathered rows: the same products
+  // in the same order, so every rank's output is bitwise identical.
+  Rng rng(33);
+  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(60, 500, rng));
+  const Matrix h = Matrix::random_uniform(60, 7, rng);
+  for (int d : {1, 2, 3, 4}) {
+    const int p = 4 * d;  // q = 2
+    const auto ranges = uniform_block_ranges(60, 2);
+    std::vector<Matrix> oblivious(static_cast<std::size_t>(p));
+    std::vector<Matrix> sparse(static_cast<std::size_t>(p));
+    Cluster cluster(p);
+    cluster.run([&](Comm& comm) {
+      DistSpmm3d obl(comm, a, ranges, d, SpmmMode::kOblivious);
+      DistSpmm3d sa(comm, a, ranges, d, SpmmMode::kSparsityAware);
+      const BlockRange in = sa.input_range();
+      const Matrix h_local = h.slice_rows(in.begin, in.end);
+      const auto me = static_cast<std::size_t>(comm.rank());
+      oblivious[me] = obl.propagate(h_local);
+      sparse[me] = sa.propagate(h_local);
+    });
+    for (int rank = 0; rank < p; ++rank) {
+      const auto me = static_cast<std::size_t>(rank);
+      EXPECT_TRUE(sparse[me] == oblivious[me]) << "d=" << d << " rank " << rank;
+    }
+  }
+}
+
 TEST(Spmm3d, ChainedPropagatesStayCorrect) {
   // Each propagate returns to H residency (grid column) through the
   // transpose partner, so propagates chain — the GCN layer pattern.
