@@ -9,9 +9,9 @@
 //   straggler  — per-rank slowdown delays sends and charges the overlap
 //                ledger, but never perturbs payload math: bitwise
 //                trajectory, nonzero straggler_seconds;
-//   lossy      — message drops ride the timeout/retry/backoff protocol to
-//                exactly-once delivery: bitwise trajectory, drops ==
-//                retries (every swallowed transmission re-requested,
+//   lossy      — message drops ride bounded retransmission with backoff
+//                to exactly-once delivery: bitwise trajectory, drops ==
+//                retries (every swallowed transmission retransmitted,
 //                no retry budget exhausted);
 //   preempt    — scheduled transient kills x checkpoint interval: the
 //                recovery loop restores and replays; wasted work is
@@ -65,7 +65,6 @@ struct Record {
   std::uint64_t snapshot_bytes = 0;
   std::uint64_t drops = 0;
   std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
   std::uint64_t duplicates = 0;
   double straggler_seconds = 0;
   double wall_seconds = 0;
@@ -103,7 +102,6 @@ void emit_json(const std::string& path) {
         << ", \"save_seconds\": " << r.save_seconds
         << ", \"snapshot_bytes\": " << r.snapshot_bytes
         << ", \"drops\": " << r.drops << ", \"retries\": " << r.retries
-        << ", \"timeouts\": " << r.timeouts
         << ", \"duplicates\": " << r.duplicates
         << ", \"straggler_seconds\": " << r.straggler_seconds
         << ", \"wall_seconds\": " << r.wall_seconds
@@ -177,7 +175,6 @@ Record run_faulty(const std::string& scenario, const Dataset& ds, int p,
   rec.snapshot_bytes = r.recovery.snapshot_bytes;
   rec.drops = r.faults.drops;
   rec.retries = r.faults.retries;
-  rec.timeouts = r.faults.timeouts;
   rec.duplicates = r.faults.duplicates;
   rec.straggler_seconds = r.faults.straggler_seconds;
   rec.wall_seconds = wall_seconds;
@@ -194,7 +191,7 @@ Record run_faulty(const std::string& scenario, const Dataset& ds, int p,
        std::to_string(rec.kills), std::to_string(rec.replayed_epochs),
        ms(rec.recovery_seconds),
        std::to_string(rec.drops) + "/" + std::to_string(rec.retries),
-       std::to_string(rec.timeouts), Table::num(rec.straggler_seconds, 4),
+       std::to_string(rec.duplicates), Table::num(rec.straggler_seconds, 4),
        Table::num(rec.goodput_eps, 4),
        rec.bitwise ? "bitwise" : (reference.empty() ? "-" : "DIFF")});
   return rec;
@@ -210,7 +207,7 @@ int main(int argc, char** argv) {
   preamble(
       "Faults — straggler / lossy-link / kill-recovery study",
       "Deterministic fault plans on the simulated cluster: what injected\n"
-      "stragglers, message loss (timeout/retry/backoff), and rank kills\n"
+      "stragglers, message loss (retransmission with backoff), and rank kills\n"
       "cost, and what the closed-loop checkpoint recovery buys back.\n"
       "Every scenario self-asserts its invariant (empty plan -> bitwise,\n"
       "survivable plan -> fault-free trajectory, replay bounded by the\n"
@@ -237,7 +234,7 @@ int main(int argc, char** argv) {
   std::cout << "fault-free goodput: " << Table::num(ref_goodput, 4)
             << " epochs/s (the ceiling every faulty row is read against)\n";
   Table table({"scenario", "p", "ckpt", "kills", "replayed", "recover",
-               "drop/retry", "timeouts", "straggler s", "goodput e/s",
+               "drop/retry", "dups", "straggler s", "goodput e/s",
                "trajectory"});
 
   // ---- parity: the empty plan must change NOTHING. ----
@@ -247,7 +244,7 @@ int main(int argc, char** argv) {
                                   /*ckpt_interval=*/0, ref, table);
     Record full = rec;
     full.ok = rec.bitwise && rec.kills == 0 && rec.drops == 0 &&
-              rec.retries == 0 && rec.timeouts == 0 &&
+              rec.retries == 0 && rec.duplicates == 0 &&
               rec.straggler_seconds == 0;
     if (!full.ok) violation("empty plan was not bitwise-silent");
     g_records.push_back(full);
@@ -275,8 +272,7 @@ int main(int argc, char** argv) {
     spec.max_attempts = 8;
     Record rec = run_faulty("lossy", ds, p, epochs, spec, FaultRecovery::kNone,
                             0, ref, table);
-    rec.ok = rec.bitwise && rec.drops > 0 && rec.retries == rec.drops &&
-             rec.timeouts >= rec.retries;
+    rec.ok = rec.bitwise && rec.drops > 0 && rec.retries == rec.drops;
     if (!rec.ok) {
       violation("lossy run broke exactly-once delivery (drops=" +
                 std::to_string(rec.drops) + " retries=" +

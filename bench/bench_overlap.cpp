@@ -44,11 +44,11 @@
 //
 // The scale table attributes that saturation explicitly: 'tail ms' is
 // the single worst blocked wait of the run (the measured straggler
-// bound, EpochCost::measured_max_blocked) and 'rt/to' are the fault
-// layer's retry/timeout counters — asserted ZERO on these fault-free
-// runs, so the gap column is provably a host-scheduler readout and not
+// bound, EpochCost::measured_max_blocked) and 'drop/rt' are the fault
+// layer's drop/retry counters — asserted ZERO on these fault-free runs,
+// so the gap column is provably a host-scheduler readout and not
 // injected-fault pollution. Both land in the JSON artifact (tail_ms,
-// retries, timeouts, straggler_ms).
+// drops, retries, straggler_ms).
 //
 // Self-asserted invariants (exit 1 on violation, so CI can gate on this
 // binary): every 1d-overlap row must actually run the configured K
@@ -180,12 +180,12 @@ struct ScaleRecord {
   /// Host-straggler attribution of the gap: the single worst blocked wait
   /// of the run (EpochCost::measured_max_blocked — the bound the measured
   /// fraction saturates at under deep K), plus the fault-layer counters.
-  /// On these fault-free runs retries/timeouts/straggler must be ZERO; a
+  /// On these fault-free runs drops/retries/straggler must be ZERO; a
   /// nonzero value means the overlap measurement is polluted by injected
   /// faults and the gap column stops being a host-scheduler readout.
   double tail_ms = 0;
+  std::uint64_t drops = 0;
   std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
   double straggler_ms = 0;
 };
 
@@ -212,7 +212,7 @@ void emit_scale_json(const std::vector<ScaleRecord>& records,
         << ", \"measured_hidden_pct\": " << r.measured_hidden_pct
         << ", \"model_hidden_pct\": " << r.model_hidden_pct
         << ", \"gap_pct\": " << r.gap_pct << ", \"tail_ms\": " << r.tail_ms
-        << ", \"retries\": " << r.retries << ", \"timeouts\": " << r.timeouts
+        << ", \"drops\": " << r.drops << ", \"retries\": " << r.retries
         << ", \"straggler_ms\": " << r.straggler_ms << "}"
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
@@ -273,15 +273,15 @@ std::vector<ScaleRecord> run_scale_point(const Dataset& ds,
     if (r.faults.any()) {
       std::cerr << "FAULT-FREE VIOLATION: " << strategy << " p=" << p
                 << " K=" << k << " recorded injected-fault activity ("
-                << r.faults.retries << " retries, " << r.faults.timeouts
-                << " timeouts, " << r.faults.straggler_seconds
+                << r.faults.drops << " drops, " << r.faults.retries
+                << " retries, " << r.faults.straggler_seconds
                 << " s straggler) on a run with no fault plan\n";
       std::exit(1);
     }
     records.push_back({ds.name, strategy, p, c, k, stages,
                        a2a.megabytes_per_epoch, a2a.messages_per_epoch, bulk,
                        pipe, model, ideal, recovered, measured_pct, model_pct,
-                       gap, tail_ms, r.faults.retries, r.faults.timeouts,
+                       gap, tail_ms, r.faults.drops, r.faults.retries,
                        r.faults.straggler_seconds * 1e3});
     table.add_row({strategy, std::to_string(p),
                    k == 0 ? "bulk" : std::to_string(k), std::to_string(stages),
@@ -290,8 +290,8 @@ std::vector<ScaleRecord> run_scale_point(const Dataset& ds,
                    Table::num(recovered, 3), Table::num(measured_pct, 3),
                    Table::num(model_pct, 3), Table::num(gap, 3),
                    Table::num(tail_ms, 3),
-                   std::to_string(r.faults.retries) + "/" +
-                       std::to_string(r.faults.timeouts)});
+                   std::to_string(r.faults.drops) + "/" +
+                       std::to_string(r.faults.retries)});
     return gap;
   };
   add(baseline, 0, base_r.pipeline_stages, base_r, base_bulk, base_bulk,
@@ -396,7 +396,7 @@ void run_scale_sweep(std::vector<ScaleRecord>& records, bool smoke) {
                                              "to 256)"));
   Table table({"strategy", "p", "K", "stages", "a2a msgs", "bulk ms", "pipe ms",
                "model ms", "ideal ms", "recovered %", "meas %", "mdl %",
-               "gap pp", "tail ms", "rt/to"});
+               "gap pp", "tail ms", "drop/rt"});
   const std::vector<int> chunk_counts =
       smoke ? std::vector<int>{1, 2, 4, 8} : std::vector<int>{1, 2, 4, 8, 16};
   const std::vector<int> ps = smoke ? std::vector<int>{8}
@@ -423,8 +423,8 @@ void run_scale_sweep(std::vector<ScaleRecord>& records, bool smoke) {
                "double-buffered depth), and saturates at the host's\n"
                "straggler bound at deeper K — 'gap pp' tracks exactly that,\n"
                "and 'tail ms' names the bound: the single worst blocked\n"
-               "wait of the run. 'rt/to' are the fault layer's retry and\n"
-               "timeout counters, asserted zero here so the gap readout is\n"
+               "wait of the run. 'drop/rt' are the fault layer's drop and\n"
+               "retry counters, asserted zero here so the gap readout is\n"
                "provably free of injected faults (bench_faults is where\n"
                "they go nonzero).\n";
 }

@@ -6,7 +6,7 @@
 //
 // Reported per cache configuration (capacity sweep: disabled / tiny /
 // unbounded): queries/sec, p50/p99 query latency, cache hit rate, and the
-// mutator's compaction/re-partition counts. While running, the bench
+// mutator's compaction count. While running, the bench
 // VERIFIES the subsystem's core promise:
 //
 //   * cached answers are BITWISE identical to cache-bypassed answers,
@@ -57,7 +57,6 @@ struct Record {
   std::uint64_t evictions = 0;
   std::uint64_t invalidations = 0;
   std::uint64_t compactions = 0;
-  std::uint64_t repartitions = 0;
   bool ok = false;
 };
 
@@ -80,7 +79,6 @@ void emit_json(const std::string& path) {
         << ", \"evictions\": " << r.evictions
         << ", \"invalidations\": " << r.invalidations
         << ", \"compactions\": " << r.compactions
-        << ", \"repartitions\": " << r.repartitions
         << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
         << (i + 1 < g_records.size() ? "," : "") << "\n";
   }
@@ -128,9 +126,6 @@ void run_scenario(const Dataset& ds, const serve::ModelLoader& loader,
 
   serve::GraphMutator mutator(ds.adjacency);
   mutator.set_compaction_threshold(1024);
-  mutator.enable_partition_tracking(
-      make_partitioner("gvb")->partition(ds.adjacency, 4), "gvb", {},
-      /*imbalance_threshold=*/1.5);
   serve::InferenceEngine engine(loader.model(), ds.features, mutator,
                                 cache_bytes);
 
@@ -216,7 +211,6 @@ void run_scenario(const Dataset& ds, const serve::ModelLoader& loader,
   rec.evictions = cs.evictions;
   rec.invalidations = cs.invalidations;
   rec.compactions = mutator.stats().compactions;
-  rec.repartitions = mutator.stats().repartitions;
   if (!rec.ok) ++g_violations;
   g_records.push_back(rec);
 
@@ -232,7 +226,6 @@ void run_scenario(const Dataset& ds, const serve::ModelLoader& loader,
                  Table::num(rec.hit_rate * 100.0, 3) + "%",
                  std::to_string(rec.evictions),
                  std::to_string(rec.compactions),
-                 std::to_string(rec.repartitions),
                  rec.ok ? "bitwise" : "FAIL"});
 }
 
@@ -277,7 +270,7 @@ int main(int argc, char** argv) {
   print_banner(std::cout, ds.name + " — cache capacity sweep (row = " +
                               std::to_string(row_bytes) + " B)");
   Table table({"cache", "queries", "updates", "qps", "p50", "p99", "hit",
-               "evict", "compact", "repart", "verdict"});
+               "evict", "compact", "verdict"});
   run_scenario(ds, loader, 0, n_queries, update_every, zipf_s, seed, table);
   run_scenario(ds, loader, row_bytes * 64, n_queries, update_every, zipf_s,
                seed, table);

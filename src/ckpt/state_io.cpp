@@ -70,34 +70,6 @@ Rng read_rng(Deserializer& d) {
   return rng;
 }
 
-void write_adam(Serializer& s, const Adam& adam) {
-  s.write_u64(adam.moments().size());
-  for (const Adam::Moments& mom : adam.moments()) {
-    s.write_i64(mom.t);
-    write_matrix(s, mom.m);
-    write_matrix(s, mom.v);
-  }
-}
-
-void read_adam_into(Deserializer& d, Adam& adam) {
-  const std::uint64_t n = d.read_u64();
-  // Each slot is at least t (8 bytes) + two matrix headers: bound the
-  // allocation before trusting a possibly-corrupt count (division, so a
-  // near-2^64 count cannot wrap the comparison).
-  if (n > d.remaining() / 8) {
-    throw CheckpointFormatError("section '" + d.section_name() +
-                                "' declares " + std::to_string(n) +
-                                " optimizer slots but is too small");
-  }
-  std::vector<Adam::Moments> slots(static_cast<std::size_t>(n));
-  for (Adam::Moments& mom : slots) {
-    mom.t = d.read_i64();
-    mom.m = read_matrix(d);
-    mom.v = read_matrix(d);
-  }
-  adam.set_moments(std::move(slots));
-}
-
 void write_model(Serializer& s, const GcnModel& model) {
   s.write_i32(model.n_layers());
   for (int l = 0; l < model.n_layers(); ++l) {

@@ -1,7 +1,7 @@
 #pragma once
 // Serialization visitors for the library's stateful types: dense/sparse
-// matrices, the Xoshiro RNG, Adam moments, the GCN model, epoch-metric
-// trajectories, recorded traffic, and the full TrainConfig record. These
+// matrices, the Xoshiro RNG, the GCN model, epoch-metric trajectories,
+// recorded traffic, and the full TrainConfig record. These
 // are the building blocks Trainer::save()/TrainerBuilder::resume() are
 // assembled from; each function is the exact inverse of its partner, down
 // to the bit pattern of every float.
@@ -17,7 +17,6 @@
 
 #include "ckpt/serializer.hpp"
 #include "gnn/model.hpp"
-#include "gnn/optimizer.hpp"
 #include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "simcomm/traffic.hpp"
@@ -37,11 +36,6 @@ CsrMatrix read_csr(Deserializer& d);
 
 void write_rng(Serializer& s, const Rng& rng);
 Rng read_rng(Deserializer& d);
-
-void write_adam(Serializer& s, const Adam& adam);
-/// Restores the moment slots into `adam` (hyperparameters stay the
-/// caller's — they are configuration, not state).
-void read_adam_into(Deserializer& d, Adam& adam);
 
 void write_model(Serializer& s, const GcnModel& model);
 /// Loads weights into an already-constructed model; throws

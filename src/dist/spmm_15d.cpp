@@ -38,7 +38,9 @@ DistSpmm15d::DistSpmm15d(Comm& comm, const CsrMatrix& a,
     for (int j = 0; j < layout_.rows; ++j) {
       if (!assigned(j)) continue;
       auto& block = split[static_cast<std::size_t>(j)];
-      if (mode_ == SpmmMode::kSparsityAware) {
+      // Only a remote block reads packed rows; the own block reads H in
+      // place.
+      if (mode_ == SpmmMode::kSparsityAware && j != grid_row_) {
         blocks_[static_cast<std::size_t>(j)] = compact_columns(std::move(block));
       } else {
         blocks_[static_cast<std::size_t>(j)].matrix = std::move(block);
@@ -141,17 +143,6 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
                : coll_detail::kAlltoallTag);
   };
 
-  // Own block: gather the full-width rows once; each chunk reads its column
-  // window (only needed when our own block row is assigned to this
-  // replica; an unassigned block is stored empty).
-  Matrix own_packed;
-  const CompactedBlock& own = blocks_[static_cast<std::size_t>(grid_row_)];
-  if (own.matrix.nnz() > 0) {
-    ThreadCpuTimer gather_timer;
-    own_packed = h_local.gather_rows(own.cols);
-    if (cpu != nullptr) *cpu += gather_timer.seconds();
-  }
-
   // Double-buffered (depth-2) software pipeline: chunk k+1's exchange is
   // posted before chunk k is even waited for, so its irecvs are pending —
   // and the peers' eager isends in flight — through both the wait and the
@@ -168,14 +159,14 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
     const vid_t fc = col_begin(k + 1) - c0;
     ThreadCpuTimer timer;
     // Every chunk accumulates straight into its column window of z. Remote
-    // chunks arrive packed to the chunk's width; the own block is read at
-    // the same window of its full-width rows.
+    // chunks arrive packed to the chunk's width; the plain own block reads
+    // the same window of H in place.
     for (int j = 0; j < layout_.rows; ++j) {
       if (!assigned(j)) continue;
       const CompactedBlock& block = blocks_[static_cast<std::size_t>(j)];
       if (block.matrix.nnz() == 0) continue;
       if (j == grid_row_) {
-        spmm_accumulate(block.matrix, own_packed, c0, z, c0, fc);
+        spmm_accumulate(block.matrix, h_local, c0, z, c0, fc);
       } else {
         // The Matrix ctor validates the flat buffer's size against
         // (rows, cols).

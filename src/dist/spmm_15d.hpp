@@ -24,9 +24,11 @@
 //                    trainer excludes from per-epoch cost).
 //
 // A rank stores only the blocks A^T_{ij} of its block row i that its grid
-// column multiplies, in the one form its mode reads: column-compacted
-// (its columns renumbered onto NnzCols(i, j)) in sparsity-aware mode, plain
-// in oblivious mode, where H_j arrives whole.
+// column multiplies, in the one form its mode reads: a remote block
+// (j != i) column-compacted (its columns renumbered onto NnzCols(i, j)) in
+// sparsity-aware mode, where only those rows of H_j arrive, packed; the
+// own block A^T_{ii}, and every block in oblivious mode, where H_j arrives
+// whole, plain.
 
 #include <span>
 #include <vector>
@@ -82,9 +84,9 @@ class DistSpmm15d {
   /// measured hidden/blocked wall-clock split (see
   /// EpochCost::measured_overlap_fraction()). Chunk k's SpMMs accumulate
   /// in place into Z's column window of chunk k (the window form of
-  /// spmm_accumulate): a remote block from its packed chunk, the own block
-  /// from the same window of its full-width rows, so no chunk is copied
-  /// into or out of a temporary matrix. Numerically identical to
+  /// spmm_accumulate): a remote block from its packed chunk, the plain own
+  /// block from the same window of H in place, so no chunk is copied into
+  /// or out of a temporary matrix. Numerically identical to
   /// multiply(): each output element accumulates its neighbors in the
   /// same order, columns are independent. The grid-row partial-sum
   /// all-reduce stays one full-width collective AFTER the last chunk —
@@ -113,9 +115,9 @@ class DistSpmm15d {
   SpmmMode mode_;
   std::vector<BlockRange> ranges_;  ///< the P/c block rows
   /// blocks_[j]: A^T_{grid_row, j} with columns localized to block j when
-  /// assigned(j), empty otherwise. Sparsity-aware mode keeps it compacted
-  /// (`cols` = NnzCols, the rows of H_j it reads); oblivious mode keeps it
-  /// plain, with `cols` empty.
+  /// assigned(j), empty otherwise. Sparsity-aware mode keeps a remote block
+  /// compacted (`cols` = NnzCols, the rows of H_j it reads); the own block
+  /// (j == grid_row) and oblivious mode keep it plain, with `cols` empty.
   std::vector<CompactedBlock> blocks_;
   /// Same grid column; comm rank == grid row. At c = 1 a copy of the
   /// constructing communicator itself: its id stamps the 1D algorithm's

@@ -23,12 +23,11 @@ CubeGrid CubeGrid::make(int p, int d) {
 }
 
 DistSpmm3d::DistSpmm3d(Comm& comm, const CsrMatrix& a,
-                       std::span<const BlockRange> ranges, int depth, SpmmMode mode)
+                       std::span<const BlockRange> ranges, int depth)
     : grid_(CubeGrid::make(comm.size(), depth)),
       layer_(grid_.layer(comm.rank())),
       grid_row_(grid_.grid_row(comm.rank())),
       grid_col_(grid_.grid_col(comm.rank())),
-      mode_(mode),
       world_(comm),
       row_comm_(comm.split([this](int r) {
         return grid_.layer(r) * grid_.q + grid_.grid_row(r);
@@ -44,12 +43,7 @@ DistSpmm3d::DistSpmm3d(Comm& comm, const CsrMatrix& a,
 
   // split_block_cols rejects ranges that do not tile [0, n).
   auto blocks = split_block_cols(extract_row_block(a, output_range_), ranges);
-  CsrMatrix& tile = blocks[static_cast<std::size_t>(grid_col_)];
-  if (mode_ == SpmmMode::kSparsityAware) {
-    tile_ = compact_columns(std::move(tile));
-  } else {
-    tile_.matrix = std::move(tile);
-  }
+  tile_ = std::move(blocks[static_cast<std::size_t>(grid_col_)]);
 }
 
 Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
@@ -61,23 +55,12 @@ Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
   const vid_t w = end - begin;
 
   // Local partial on this layer's feature slice, read in place as the
-  // column window [begin, end): the plain tile reads it straight from H,
-  // the compacted tile from its needed rows, gathered once at full width.
-  // Every member of the layer's grid row shares `w` (same layer), so
-  // skipping empty slices below is symmetric across each collective's
-  // communicator.
+  // column window [begin, end) of H. Every member of the layer's grid row
+  // shares `w` (same layer), so skipping empty slices below is symmetric
+  // across each collective's communicator.
   ThreadCpuTimer timer;
   Matrix z(output_range_.size(), w);
-  if (w > 0) {
-    if (mode_ == SpmmMode::kSparsityAware) {
-      if (tile_.matrix.nnz() > 0) {
-        const Matrix packed = h_local.gather_rows(tile_.cols);
-        spmm_accumulate(tile_.matrix, packed, begin, z, 0, w);
-      }
-    } else {
-      spmm_accumulate(tile_.matrix, h_local, begin, z, 0, w);
-    }
-  }
+  if (w > 0) spmm_accumulate(tile_, h_local, begin, z, 0, w);
   if (cpu_seconds != nullptr) *cpu_seconds += timer.seconds();
 
   // Partial-sum all-reduce across the layer's grid row (the dominant

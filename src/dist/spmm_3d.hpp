@@ -15,20 +15,18 @@
 //
 // The Z all-reduce moves dense blocks whose size is independent of the
 // graph's sparsity — the structural reason CAGNET (and the paper) prefer
-// 1D/1.5D for GNN training. kSparsityAware here only compacts the local
-// working set (the rank stores its tile column-compacted and the kernel
-// reads packed rows); it cannot shrink the wire volume. kOblivious stores
-// the plain tile and reads H in place. Against d = 1 at the same q, the
-// all-reduce and the transpose shrink by d (they move a 1/d feature
-// slice), at the price of a depth all-gather moving (d-1)/d of the full
-// width — the classic CA trade (more memory/ranks for less reduced
-// volume). For GNN-shaped f (narrow features) the latency of the extra
-// fiber ring dominates quickly; the planner quantifies exactly where.
+// 1D/1.5D for GNN training. No rows of H arrive packed either (a rank owns
+// its H block whole), so there is no sparsity-aware mode: every rank stores
+// its plain tile and reads H in place. Against d = 1 at the same q, the
+// all-reduce and the transpose shrink by d (they move a 1/d feature slice),
+// at the price of a depth all-gather moving (d-1)/d of the full width —
+// the classic CA trade (more memory/ranks for less reduced volume). For
+// GNN-shaped f (narrow features) the latency of the extra fiber ring
+// dominates quickly; the planner quantifies exactly where.
 
 #include <span>
 
 #include "dense/matrix.hpp"
-#include "dist/spmm_mode.hpp"
 #include "simcomm/collectives.hpp"
 #include "sparse/blocks.hpp"
 
@@ -56,7 +54,7 @@ class DistSpmm3d {
   /// Collective over `comm`. `a` must be square and `ranges` must have
   /// exactly q entries that tile [0, n) in order (throws otherwise).
   DistSpmm3d(Comm& comm, const CsrMatrix& a, std::span<const BlockRange> ranges,
-             int depth, SpmmMode mode);
+             int depth);
 
   /// Residency of this rank's H block (block id = grid column).
   const BlockRange& input_range() const { return input_range_; }
@@ -83,12 +81,10 @@ class DistSpmm3d {
   int layer_ = 0;
   int grid_row_ = 0;
   int grid_col_ = 0;
-  SpmmMode mode_;
   BlockRange input_range_;
   BlockRange output_range_;
-  /// Â_{ij}, columns localized to block j: column-compacted in
-  /// sparsity-aware mode, plain (with `cols` empty) in oblivious mode.
-  CompactedBlock tile_;
+  /// Â_{ij}, columns localized to block j.
+  CsrMatrix tile_;
   Comm world_;               ///< copy of the constructing communicator
   Comm row_comm_;            ///< same (layer, grid row); comm rank == grid col
   Comm fiber_comm_;          ///< same (grid row, grid col); comm rank == layer

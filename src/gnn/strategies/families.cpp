@@ -193,11 +193,12 @@ PredictedCost RowReplicated::predict_cost(const PredictInput& in) const {
 /// residency so layers chain. The ranks of a layer's grid row hold
 /// pairwise-distinct H blocks, so that row is the reduction scope; the d
 /// parallel rings see identical data in identical order, keeping the
-/// weights bitwise-replicated across layers.
+/// weights bitwise-replicated across layers. The family has no mode: a
+/// tile reads H in place, so "2d-oblivious" and "2d-sparse" bind the same
+/// grid.
 class Grid final : public DistributionStrategy {
  public:
-  Grid(std::string name, SpmmMode mode, Dim depth)
-      : name_(std::move(name)), mode_(mode), depth_(depth) {}
+  Grid(std::string name, Dim depth) : name_(std::move(name)), depth_(depth) {}
 
   std::string name() const override { return name_; }
 
@@ -205,7 +206,7 @@ class Grid final : public DistributionStrategy {
 
   void setup(Comm& comm, const StrategyContext& ctx) override {
     spmm_ = std::make_unique<DistSpmm3d>(comm, *ctx.adjacency, ctx.ranges,
-                                         depth(ctx.c), mode_);
+                                         depth(ctx.c));
   }
 
   Matrix propagate_forward(const Matrix& x_local, double* cpu_seconds) override {
@@ -246,7 +247,6 @@ class Grid final : public DistributionStrategy {
   }
 
   std::string name_;
-  SpmmMode mode_;
   Dim depth_;
   std::unique_ptr<DistSpmm3d> spmm_;
 };
@@ -276,8 +276,7 @@ PredictedCost Grid::predict_cost(const PredictInput& in) const {
   const double s = sizeof(real_t);
   // Reduce scope: a layer grid row (q members, stride 1 in world order).
   // The dense Z all-reduce and the residency transpose are oblivious to
-  // sparsity (kSparsityAware only compacts the local kernel), so both
-  // modes price identically.
+  // sparsity.
   const std::vector<vid_t> widths = predict_base(out.cost, in, g.q, n / g.q, g.q, 1);
   for (vid_t width : widths) {
     const double w = static_cast<double>(width);
@@ -319,10 +318,9 @@ const StrategyRegistration kRegistrations[] = {
                         Dim::kContext, Schedule::kBulk),
     bind<RowReplicated>("1.5d-overlap", {"15d-overlap", "1.5d-pipelined"},
                         kSparse, Dim::kContext, Schedule::kCrossLayer),
-    bind<Grid>("2d-oblivious", {"2d-oblivious(summa)", "summa"}, kOblivious,
-               Dim::kOne),
-    bind<Grid>("2d-sparse", {"2d-sparsity-aware"}, kSparse, Dim::kOne),
-    bind<Grid>("3d", {"3d-comm-avoiding"}, kSparse, Dim::kContext),
+    bind<Grid>("2d-oblivious", {"2d-oblivious(summa)", "summa"}, Dim::kOne),
+    bind<Grid>("2d-sparse", {"2d-sparsity-aware"}, Dim::kOne),
+    bind<Grid>("3d", {"3d-comm-avoiding"}, Dim::kContext),
 };
 
 }  // namespace

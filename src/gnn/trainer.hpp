@@ -146,7 +146,7 @@ struct TrainResult {
   }
 
   /// Injected-fault event counters recorded by the runtime (drops,
-  /// retries, timeouts, suppressed duplicates, straggler seconds) —
+  /// retries, suppressed duplicates, straggler seconds) —
   /// accumulated across kill recoveries. All zero for fault-free runs.
   FaultCounters faults;
 

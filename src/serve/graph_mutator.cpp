@@ -105,19 +105,11 @@ void GraphMutator::notify_dirty(vid_t row) {
   if (dirty_listener_) dirty_listener_(row);
 }
 
-void GraphMutator::adjust_load(vid_t row, int nnz_delta) {
-  if (!tracking_ || nnz_delta == 0) return;
-  const int part = parts_.part_of[static_cast<std::size_t>(row)];
-  part_loads_[static_cast<std::size_t>(part)] += nnz_delta;
-}
-
 bool GraphMutator::insert_edge(vid_t u, vid_t v, real_t value) {
   SAGNN_REQUIRE(u >= 0 && u < n() && v >= 0 && v < n(), "vertex out of range");
   const ArcResult a = upsert_arc(u, v, value);
   const ArcResult b = u == v ? ArcResult{} : upsert_arc(v, u, value);
   nnz_ += a.nnz_delta + b.nnz_delta;
-  adjust_load(u, a.nnz_delta);
-  adjust_load(v, b.nnz_delta);
   const bool changed = a.changed || b.changed;
   if (!changed) {
     ++stats_.noop_ops;
@@ -128,7 +120,6 @@ bool GraphMutator::insert_edge(vid_t u, vid_t v, real_t value) {
   }
   if (a.changed) notify_dirty(u);
   if (b.changed) notify_dirty(v);
-  maybe_repartition();
   maybe_compact();
   return changed;
 }
@@ -138,8 +129,6 @@ bool GraphMutator::erase_edge(vid_t u, vid_t v) {
   const ArcResult a = erase_arc(u, v);
   const ArcResult b = u == v ? ArcResult{} : erase_arc(v, u);
   nnz_ += a.nnz_delta + b.nnz_delta;
-  adjust_load(u, a.nnz_delta);
-  adjust_load(v, b.nnz_delta);
   const bool changed = a.changed || b.changed;
   if (changed) {
     ++stats_.erases;
@@ -148,7 +137,6 @@ bool GraphMutator::erase_edge(vid_t u, vid_t v) {
   }
   if (a.changed) notify_dirty(u);
   if (b.changed) notify_dirty(v);
-  maybe_repartition();
   maybe_compact();
   return changed;
 }
@@ -186,59 +174,6 @@ void GraphMutator::maybe_compact() {
       stats_.overlay_entries > compaction_threshold_) {
     compact();
   }
-}
-
-void GraphMutator::enable_partition_tracking(Partition parts,
-                                             std::string partitioner_name,
-                                             PartitionerOptions opts,
-                                             double imbalance_threshold) {
-  SAGNN_REQUIRE(parts.n() == n(), "partition size must match the graph");
-  SAGNN_REQUIRE(imbalance_threshold > 1.0,
-                "imbalance threshold must exceed 1 (perfect balance)");
-  parts.validate();
-  tracking_ = true;
-  parts_ = std::move(parts);
-  partitioner_name_ = std::move(partitioner_name);
-  partitioner_opts_ = opts;
-  imbalance_threshold_ = imbalance_threshold;
-  recompute_loads();
-}
-
-void GraphMutator::recompute_loads() {
-  part_loads_.assign(static_cast<std::size_t>(parts_.k), 0);
-  for (vid_t r = 0; r < n(); ++r) {
-    eid_t row_nnz = 0;
-    const auto dit = deltas_.find(r);
-    if (dit == deltas_.end()) {
-      row_nnz = base_.row_nnz(r);
-    } else {
-      for_each_nonzero(r, [&](vid_t, real_t) { ++row_nnz; });
-    }
-    part_loads_[static_cast<std::size_t>(
-        parts_.part_of[static_cast<std::size_t>(r)])] += row_nnz;
-  }
-}
-
-double GraphMutator::imbalance() const {
-  if (!tracking_ || part_loads_.empty()) return 0.0;
-  const eid_t max_load = *std::max_element(part_loads_.begin(), part_loads_.end());
-  eid_t total = 0;
-  for (const eid_t l : part_loads_) total += l;
-  if (total == 0) return 1.0;
-  const double avg =
-      static_cast<double>(total) / static_cast<double>(part_loads_.size());
-  return static_cast<double>(max_load) / avg;
-}
-
-void GraphMutator::maybe_repartition() {
-  if (!tracking_ || imbalance() <= imbalance_threshold_) return;
-  // Same move as the checkpoint elastic restart: fold updates in, then ask
-  // the registry for a fresh partition of the current graph.
-  compact();
-  parts_ = make_partitioner(partitioner_name_, partitioner_opts_)
-               ->partition(base_, parts_.k);
-  recompute_loads();
-  ++stats_.repartitions;
 }
 
 }  // namespace sagnn::serve

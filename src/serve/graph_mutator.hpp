@@ -21,26 +21,17 @@
 // representation only, never the logical graph, so cached aggregations
 // survive it.
 //
-// Two notification hooks close the loop with the rest of the serving
-// stack:
-//   * a dirty listener fires once per logically-changed row (both
-//     endpoints of an edge op) — the InferenceEngine subscribes it to
-//     invalidate exactly the affected cache entries;
-//   * optional partition tracking maintains per-part nonzero loads under
-//     updates and, past an imbalance threshold, re-partitions through the
-//     SAME registry path the checkpoint elastic restart uses
-//     (make_partitioner by name — see TrainerBuilder::resume's ranks()
-//     override), so serving rebalances with the partitioners the training
-//     side already trusts.
+// A dirty listener closes the loop with the rest of the serving stack: it
+// fires once per logically-changed row (both endpoints of an edge op), and
+// the InferenceEngine subscribes it to invalidate exactly the affected
+// cache entries.
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
-#include <string>
 #include <unordered_map>
 
-#include "partition/partition.hpp"
 #include "sparse/csr.hpp"
 
 namespace sagnn::serve {
@@ -117,32 +108,12 @@ class GraphMutator {
     dirty_listener_ = std::move(listener);
   }
 
-  /// Begin maintaining per-part nonzero loads for `parts` under updates.
-  /// When max/avg part load exceeds `imbalance_threshold` after an edge
-  /// op, the mutator compacts and re-partitions via
-  /// make_partitioner(partitioner_name, opts) — the registry path shared
-  /// with the checkpoint elastic restart.
-  void enable_partition_tracking(Partition parts, std::string partitioner_name,
-                                 PartitionerOptions opts,
-                                 double imbalance_threshold);
-
-  /// Current partition, or nullptr when tracking is off. Invalidated by
-  /// re-partitioning.
-  const Partition* partition() const {
-    return tracking_ ? &parts_ : nullptr;
-  }
-
-  /// max/avg per-part nonzero load; 1.0 is perfect balance. 0 when
-  /// tracking is off.
-  double imbalance() const;
-
   struct Stats {
     std::uint64_t inserts = 0;       ///< structural insertions
     std::uint64_t value_updates = 0; ///< weight-only upserts
     std::uint64_t erases = 0;
     std::uint64_t noop_ops = 0;      ///< duplicate inserts + absent erases
     std::uint64_t compactions = 0;
-    std::uint64_t repartitions = 0;
     std::size_t overlay_entries = 0; ///< pending upserts + erases
   };
   const Stats& stats() const { return stats_; }
@@ -166,23 +137,13 @@ class GraphMutator {
 
   real_t base_at(vid_t row, vid_t col, bool* present) const;
   void notify_dirty(vid_t row);
-  void adjust_load(vid_t row, int nnz_delta);
   void maybe_compact();
-  void maybe_repartition();
-  void recompute_loads();
 
   CsrMatrix base_;
   std::unordered_map<vid_t, RowDelta> deltas_;
   eid_t nnz_ = 0;
   std::size_t compaction_threshold_ = 0;
   std::function<void(vid_t)> dirty_listener_;
-
-  bool tracking_ = false;
-  Partition parts_;
-  std::string partitioner_name_;
-  PartitionerOptions partitioner_opts_;
-  double imbalance_threshold_ = 0.0;
-  std::vector<eid_t> part_loads_;
 
   Stats stats_;
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <tuple>
 #include <unordered_map>
 
 #include "simcomm/fault.hpp"
@@ -13,10 +11,19 @@ namespace sagnn {
 
 namespace comm_detail {
 
-/// An arrived message nobody has claimed yet.
+/// A sent message nobody has claimed yet. Its lossy-link outcome is
+/// settled when it is sent: a message whose first transmission got through
+/// has landed; a retransmitted one lands at `lands`; a lost one (every
+/// attempt swallowed, no payload kept) is given up on at `lands`.
 struct Message {
   std::uint64_t seq;  ///< position in the (src, tag) arrival stream
   std::vector<std::byte> data;
+  SteadyTime lands{};  ///< time_point{}: landed when it was sent
+  bool lost = false;
+
+  bool landed() const {
+    return lands == SteadyTime{} || std::chrono::steady_clock::now() >= lands;
+  }
 };
 
 /// Everything the receiver keeps for one (src, tag) pair. Created on first
@@ -25,21 +32,13 @@ struct Message {
 struct Stream {
   std::uint64_t next_arrival = 0;  ///< seq the next send takes
   std::uint64_t next_posted = 0;   ///< seq the next posted receive takes
-  /// Arrived, unclaimed messages. Usually zero or one: a deeper backlog
-  /// only forms when sends run ahead of their receives.
+  /// Sent, unclaimed messages. Usually zero or one: a deeper backlog only
+  /// forms when sends run ahead of their receives.
   std::vector<Message> arrived;
 
   std::vector<Message>::iterator find(std::uint64_t seq) {
     return std::find_if(arrived.begin(), arrived.end(),
                         [seq](const Message& m) { return m.seq == seq; });
-  }
-  /// Deliver `msg` unless a copy with its seq is already pending — a
-  /// redundant delivery, suppressed by sequence number. False on
-  /// suppression.
-  bool deliver(Message&& msg) {
-    if (find(msg.seq) != arrived.end()) return false;
-    arrived.push_back(std::move(msg));
-    return true;
   }
 };
 
@@ -57,16 +56,9 @@ struct StreamKeyHash {
   }
 };
 
-/// A message a lossy link swallowed, parked in the RECEIVER's mailbox so
-/// the whole retry protocol runs under the one mailbox lock. The
-/// retransmission carries the original sequence number — deterministic
-/// (src, tag) matching is preserved underneath the faults.
-struct DroppedMessage {
-  std::uint64_t attempts = 0;  ///< transmissions so far (all dropped)
-  std::vector<std::byte> data;
-};
-
-struct Mailbox {
+/// Cache-line aligned: each mailbox is locked and written by the ranks that
+/// send to it, so a neighbour's hot fields must not share its lines.
+struct alignas(64) Mailbox {
   explicit Mailbox(int owner) : rank(owner) {}
 
   const int rank;
@@ -76,8 +68,6 @@ struct Mailbox {
   /// dropped on sight so later slots keep matching their own messages.
   /// Rare, so kept here rather than in every stream.
   std::vector<std::pair<const Stream*, std::uint64_t>> abandoned;
-  /// Retransmit store of the retry protocol, keyed (src, tag, seq).
-  std::map<std::tuple<int, long, std::uint64_t>, DroppedMessage> dropped;
   /// The slot the owner is blocked on (null: not blocked) and the waiter
   /// parked on it. isend wakes that waiter only for this slot; abort()
   /// wakes it whatever the slot.
@@ -100,7 +90,6 @@ struct Mailbox {
 
 }  // namespace comm_detail
 
-using comm_detail::DroppedMessage;
 using comm_detail::Mailbox;
 using comm_detail::Message;
 using comm_detail::Stream;
@@ -114,17 +103,48 @@ SteadyTime after_seconds(double s) {
              std::chrono::duration<double>(s));
 }
 
-/// Records `waiter` as blocked on one slot for the scope of one or more
-/// parks. The mailbox lock must be held.
+/// The lossy-link outcome of one message, settled when it is sent. Every
+/// decision is a pure hash of the message identity and the attempt number,
+/// so settling them up front drops, retransmits and duplicates exactly what
+/// a sender's retransmission timer would, whenever the receiver looks.
+struct LinkOutcome {
+  std::uint64_t drops = 0;    ///< transmissions the link swallowed
+  std::uint64_t retries = 0;  ///< retransmissions sent
+  bool lost = false;          ///< every attempt swallowed
+  bool duplicated = false;    ///< the transmission that got through arrived twice
+  double delay = 0;           ///< seconds from the send to landing (or loss)
+};
+
+LinkOutcome settle_link(const FaultPlan& plan, int src, int dst, long tag,
+                        std::uint64_t seq) {
+  LinkOutcome out;
+  const auto max_attempts = static_cast<std::uint64_t>(plan.max_attempts());
+  std::uint64_t attempt = 1;
+  for (; plan.should_drop(src, dst, tag, seq, attempt); ++attempt) {
+    ++out.drops;
+    if (attempt == max_attempts) {
+      out.lost = true;
+      return out;
+    }
+    // Attempt a + 1 goes out retry_timeout(a) after attempt a.
+    ++out.retries;
+    out.delay += plan.retry_timeout(attempt);
+  }
+  out.duplicated = plan.should_duplicate(src, dst, tag, seq, attempt);
+  return out;
+}
+
+/// Records `waiter` as blocked on one slot for the scope of one park. The
+/// mailbox lock must be held.
 class Awaiting {
  public:
   Awaiting(Mailbox& box, const Stream& stream, std::uint64_t seq, Waiter& waiter)
       : box_(box) {
-    // A rank is one waiter: its fiber, or the one thread that drives it. A
-    // second waiter would be invisible to the single-slot wakeup in isend,
-    // so it is refused rather than lost.
+    // A rank is one waiter: its fiber. Another rank's fiber can still reach
+    // this mailbox through CommWorld::recv; it would be invisible to the
+    // single-slot wakeup in isend, so it is refused rather than lost.
     SAGNN_REQUIRE(box.awaited == nullptr,
-                  "a second thread blocked on rank " + std::to_string(box.rank) +
+                  "a second fiber blocked on rank " + std::to_string(box.rank) +
                       "'s mailbox (one waiter per mailbox)");
     box.awaited = &stream;
     box.awaited_seq = seq;
@@ -212,37 +232,34 @@ Request CommWorld::isend(int src, int dst, long tag,
   }
   traffic_.record(phase, src, dst, data.size());
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
-  bool dropped = false;
-  bool duplicated = false;
+  LinkOutcome link;
   Waiter* wake = nullptr;
   {
     std::lock_guard lock(box.mutex);
     Stream& stream = box.stream(src, tag);
     const std::uint64_t seq = stream.next_arrival++;
-    if (box.take_abandoned(stream, seq)) {
-      // The receive for this slot was destroyed unwaited; drop the payload
-      // so later slots keep matching their own messages.
-    } else if (plan != nullptr && plan->should_drop(src, dst, tag, seq, 1)) {
-      // The link swallowed the transmission. The payload parks in the
-      // receiver's retransmit store — it still consumed its arrival seq,
-      // so the retransmission matches the same posted receive. A receiver
-      // blocked on this slot wakes to start the retry protocol.
-      box.dropped.emplace(std::make_tuple(src, tag, seq),
-                          DroppedMessage{1, {data.begin(), data.end()}});
-      dropped = true;
-      if (box.awaits(stream, seq)) wake = box.waiter;
-    } else {
-      (void)stream.deliver(Message{seq, {data.begin(), data.end()}});
-      if (plan != nullptr && plan->should_duplicate(src, dst, tag, seq, 1)) {
-        // A flaky link delivers twice; the redundant copy must be
-        // suppressed by its sequence number.
-        duplicated = !stream.deliver(Message{seq, {data.begin(), data.end()}});
-      }
+    // A slot whose receive was destroyed unwaited drops its payload, so
+    // later slots keep matching their own messages.
+    if (!box.take_abandoned(stream, seq)) {
+      if (plan != nullptr) link = settle_link(*plan, src, dst, tag, seq);
+      Message msg{seq, {}};
+      msg.lost = link.lost;
+      if (!link.lost) msg.data.assign(data.begin(), data.end());
+      // Only a retransmitted or lost message reads the clock. A duplicate
+      // needs no copy: both would land here at once, and the second is
+      // suppressed by its sequence number.
+      if (link.delay > 0) msg.lands = after_seconds(link.delay);
+      stream.arrived.push_back(std::move(msg));
       if (box.awaits(stream, seq)) wake = box.waiter;
     }
   }
-  if (dropped) traffic_.record_fault_drop();
-  if (duplicated) traffic_.record_fault_duplicate();
+  for (std::uint64_t i = 0; i < link.drops; ++i) traffic_.record_fault_drop();
+  for (std::uint64_t i = 0; i < link.retries; ++i) {
+    traffic_.record_fault_retry();
+    // A retransmission puts the payload back on the wire.
+    traffic_.record("retry", src, dst, data.size());
+  }
+  if (link.duplicated) traffic_.record_fault_duplicate();
   if (wake != nullptr) wake->unpark();
   return Request(this, Request::Kind::kSend, nullptr, nullptr, src, tag, 0);
 }
@@ -269,110 +286,55 @@ void CommWorld::send(int src, int dst, long tag, std::span<const std::byte> data
 std::vector<std::byte> CommWorld::recv(int me, int src, long tag) {
   SAGNN_REQUIRE(me >= 0 && me < size_ && src >= 0 && src < size_,
                 "recv rank out of range");
+  Waiter& self = current_waiter();  // before the slot is taken
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(me)];
   std::unique_lock lock(box.mutex);
   Stream& stream = box.stream(src, tag);
   const std::uint64_t seq = stream.next_posted++;
-  return wait_recv(lock, box, stream, src, tag, seq, nullptr);
+  return wait_recv(lock, self, box, stream, src, tag, seq, nullptr);
 }
 
 std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
-                                            Mailbox& box, Stream& stream, int src,
-                                            long tag, std::uint64_t seq,
-                                            WaitStats* stats) {
+                                            Waiter& self, Mailbox& box,
+                                            Stream& stream, int src, long tag,
+                                            std::uint64_t seq, WaitStats* stats) {
   const double wait_begin = stats != nullptr ? now_seconds() : 0;
-  const int me = box.rank;
-  const FaultPlan* plan = fault_plan_.get();
-  const bool lossy = plan != nullptr && plan->lossy(src, me);
-  Waiter& self = current_waiter();
   for (;;) {
     auto it = stream.find(seq);
+    SteadyTime until = SteadyTime::max();
     if (it != stream.arrived.end()) {
-      if (stats != nullptr) stats->blocked = std::max(0.0, now_seconds() - wait_begin);
-      std::vector<std::byte> data = std::move(it->data);
-      stream.arrived.erase(it);
-      return data;
-    }
-    if (aborted()) throw AbortedError();
-    if (!lossy) {
-      Awaiting awaiting(box, stream, seq, self);
-      (void)self.park_until(lock, SteadyTime::max());
-      continue;
-    }
-
-    // Lossy link: never block forever on a message the link may have
-    // swallowed. Time out (exponential backoff per attempt), consult the
-    // retransmit store, and drive the bounded-retry protocol. Timing only
-    // affects wall-clock — drop outcomes are hash-keyed by attempt number,
-    // so the delivered payload stream is deterministic.
-    const auto key = std::make_tuple(src, tag, seq);
-    auto parked = box.dropped.find(key);
-    if (parked == box.dropped.end()) {
-      // Nothing known-dropped for this slot: the message may simply not
-      // have been sent yet. Poll with the base timeout so a later drop is
-      // noticed (a real receiver cannot tell the two cases apart either).
-      Awaiting awaiting(box, stream, seq, self);
-      if (!self.park_until(lock, after_seconds(plan->retry_timeout(1)))) {
-        traffic_.record_fault_timeout();
-      }
-      continue;
-    }
-    const std::uint64_t attempts = parked->second.attempts;
-    if (attempts >= static_cast<std::uint64_t>(plan->max_attempts())) {
-      box.dropped.erase(parked);
-      throw FaultError("link " + std::to_string(src) + "->" +
-                       std::to_string(me) + " lost message (tag " +
-                       std::to_string(tag) + ", seq " + std::to_string(seq) +
-                       "): retry budget of " +
-                       std::to_string(plan->max_attempts()) +
-                       " attempts exhausted");
-    }
-    // Back off for this attempt's full timeout before the retransmission
-    // fires. Nothing but our own retransmission can deliver this
-    // (src, tag, seq) slot, so only abort() or a spurious wakeup ends the
-    // wait early — and the protocol invariant timeouts >= retries holds
-    // only if every retry is timeout-driven.
-    const SteadyTime deadline = after_seconds(plan->retry_timeout(attempts));
-    {
-      Awaiting awaiting(box, stream, seq, self);
-      while (self.park_until(lock, deadline)) {
-        if (aborted()) throw AbortedError();
+      if (!it->landed()) {
+        until = it->lands;  // a retransmission still in flight
+      } else if (it->lost) {
+        stream.arrived.erase(it);
+        throw FaultError("link " + std::to_string(src) + "->" +
+                         std::to_string(box.rank) + " lost message (tag " +
+                         std::to_string(tag) + ", seq " + std::to_string(seq) +
+                         "): retry budget of " +
+                         std::to_string(fault_plan_->max_attempts()) +
+                         " attempts exhausted");
+      } else {
+        if (stats != nullptr) {
+          stats->blocked = std::max(0.0, now_seconds() - wait_begin);
+        }
+        std::vector<std::byte> data = std::move(it->data);
+        stream.arrived.erase(it);
+        return data;
       }
     }
-    traffic_.record_fault_timeout();
     if (aborted()) throw AbortedError();
-    parked = box.dropped.find(key);  // the park released the lock
-    if (parked == box.dropped.end()) continue;
-    const std::uint64_t attempt = ++parked->second.attempts;
-    traffic_.record_fault_retry();
-    // The retransmission puts real bytes back on the wire; account them.
-    traffic_.record("retry", src, me, parked->second.data.size());
-    if (plan->should_drop(src, me, tag, seq, attempt)) {
-      traffic_.record_fault_drop();
-      continue;  // dropped again; the next cycle backs off longer
-    }
-    Message msg{seq, std::move(parked->second.data)};
-    box.dropped.erase(parked);
-    if (plan->should_duplicate(src, me, tag, seq, attempt)) {
-      Message copy = msg;
-      (void)stream.deliver(std::move(msg));
-      if (!stream.deliver(std::move(copy))) traffic_.record_fault_duplicate();
-    } else {
-      (void)stream.deliver(std::move(msg));
-    }
-    // Delivered: the next loop iteration claims it.
+    Awaiting awaiting(box, stream, seq, self);
+    self.park_until(lock, until);
   }
 }
 
-void CommWorld::abandon_recv(Mailbox& box, Stream& stream, int src, long tag,
-                             std::uint64_t seq) {
+void CommWorld::abandon_recv(Mailbox& box, Stream& stream, std::uint64_t seq) {
   std::lock_guard lock(box.mutex);
   auto it = stream.find(seq);
   if (it != stream.arrived.end()) {
     stream.arrived.erase(it);
-  } else if (box.dropped.erase(std::make_tuple(src, tag, seq)) == 0) {
-    // Not arrived and not parked in the retransmit store: mark the slot so
-    // the future arrival is dropped on sight.
+  } else {
+    // Not sent yet: mark the slot so the future arrival is dropped on sight.
     box.abandoned.emplace_back(&stream, seq);
   }
 }
@@ -384,20 +346,24 @@ std::vector<std::byte> Request::wait(WaitStats* stats) {
   if (state_ != State::kPending) {
     throw RequestError("wait() on an empty (default or moved-from) request");
   }
-  // Consumed either way: an AbortedError escape must not leave a handle the
-  // destructor would try to abandon against a torn-down stream.
-  state_ = State::kDone;
   if (kind_ == Kind::kSend) {
+    state_ = State::kDone;
     if (stats != nullptr) *stats = {};
     return {};
   }
+  // Off a rank fiber this throws and the handle stays pending, so its
+  // destructor still releases the slot.
+  Waiter& self = current_waiter();
+  // Consumed either way: an AbortedError escape must not leave a handle the
+  // destructor would try to abandon against a torn-down stream.
+  state_ = State::kDone;
   std::unique_lock lock(box_->mutex);
-  return world_->wait_recv(lock, *box_, *stream_, src_, tag_, seq_, stats);
+  return world_->wait_recv(lock, self, *box_, *stream_, src_, tag_, seq_, stats);
 }
 
 void Request::release() {
   if (state_ == State::kPending && kind_ == Kind::kRecv) {
-    world_->abandon_recv(*box_, *stream_, src_, tag_, seq_);
+    world_->abandon_recv(*box_, *stream_, seq_);
   }
   world_ = nullptr;
   state_ = State::kEmpty;

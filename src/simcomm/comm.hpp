@@ -25,21 +25,30 @@
 //     (src, tag) stream without corrupting later matches (no leak).
 //   * wait() on an already-completed or empty handle is a typed
 //     RequestError, never undefined behavior.
-//   * One waiter per mailbox: a rank is one fiber (simcomm/fiber.hpp), so
-//     only the owner ever blocks on its mailbox. A second waiter — say, a
-//     plain thread driving the world directly — that tries to block there
-//     while the owner is blocked gets a typed Error.
+//   * Blocking receives run on rank fibers (simcomm/fiber.hpp). On any
+//     other thread wait() and recv() throw a typed Error before they take
+//     or consume a slot. Sends may come from any thread.
+//   * One waiter per mailbox: a rank is one fiber, so only the owner
+//     blocks on its mailbox. Another rank's fiber that tries to block
+//     there through CommWorld::recv while the owner is blocked gets a
+//     typed Error.
+//   * Lossy links (fault.hpp) are settled when a message is sent: isend
+//     decides every attempt's drop, retransmission and duplicate at once
+//     and stores the message as landed, landing later (retransmitted) or
+//     lost. A receive claims a landed message, throws FaultError for a
+//     lost one and otherwise parks until the message lands.
 //
 // Cost per message: each mailbox keeps one stream per (src, tag) — next
-// arrival seq, next posted seq, arrived-but-unclaimed messages — so isend,
+// arrival seq, next posted seq, sent-but-unclaimed messages — so isend,
 // irecv and recv each cost one hash lookup, and a Request keeps its stream
 // for wait() and abandon. A blocked receiver parks its fiber (a user-space
 // switch, no kernel sleep) and records the one slot it awaits and itself
-// as the waiter; isend wakes that waiter only when it deposits (or a lossy
-// link parks) that slot, after releasing the mailbox lock. Apart from
-// lossy-link retry deadlines, the runtime reads the clock only inside
-// Request::wait(&stats), on entry and on completion, to measure
-// WaitStats::blocked: irecv, isend and blocking recv never touch it.
+// as the waiter; isend wakes that waiter only when it deposits that slot,
+// after releasing the mailbox lock. The runtime reads the clock for a
+// retransmitted or lost message (isend stamps when it lands, the receiver
+// compares) and inside Request::wait(&stats), on entry and on completion,
+// to measure WaitStats::blocked. Without a fault plan, irecv, isend and
+// blocking recv never touch it.
 //
 // Tag space: user tags must be < kUserTagLimit. Internal operations
 // (barriers, collectives) use reserved offsets above that, further prefixed
@@ -63,6 +72,7 @@
 namespace sagnn {
 
 class FaultPlan;
+class Waiter;
 
 namespace comm_detail {
 // Defined in comm.cpp: a rank's mailbox and one (src, tag) stream in it.
@@ -115,9 +125,11 @@ class Request {
   bool valid() const { return state_ == State::kPending; }
 
   /// Complete the operation. Receives return the payload bytes (and block
-  /// until the matching message arrives); sends return an empty vector
+  /// until the matching message lands); sends return an empty vector
   /// immediately (eager runtime). Throws AbortedError if the world aborts
-  /// while pending, RequestError on double-wait or an empty handle. When
+  /// while pending, FaultError if a lossy link lost the message,
+  /// RequestError on double-wait or an empty handle, and Error for a
+  /// receive waited off a rank fiber (the handle then stays pending). When
   /// `stats` is non-null it receives the blocked time of this wait.
   std::vector<std::byte> wait(WaitStats* stats = nullptr);
 
@@ -187,7 +199,9 @@ class CommWorld {
 
   /// Blocking receive of the message with matching (src, tag): reserves
   /// the next slot of the stream like irecv() and claims it through the
-  /// same wait_recv as Request::wait(), without reading the clock.
+  /// same wait_recv as Request::wait(), without reading the clock on a
+  /// fault-free world. Throws Error off a rank fiber, before taking the
+  /// slot.
   std::vector<std::byte> recv(int me, int src, long tag);
 
   /// Wake every parked receiver with AbortedError (called by Cluster when
@@ -222,15 +236,17 @@ class CommWorld {
 
   /// The one matching path, shared by Request::wait() and the blocking
   /// recv(): claim slot `seq` of the (src, tag) `stream` in `box`, parking
-  /// the current waiter until it arrives. `lock` holds box's mutex on entry
-  /// and exit. The clock is read only when `stats` is non-null.
+  /// `self` (the calling rank fiber) until the message lands, and throw
+  /// FaultError if the link lost it. `lock` holds box's mutex on entry and
+  /// exit. Without a fault plan the clock is read only when `stats` is
+  /// non-null.
   std::vector<std::byte> wait_recv(std::unique_lock<std::mutex>& lock,
-                                   comm_detail::Mailbox& box,
+                                   Waiter& self, comm_detail::Mailbox& box,
                                    comm_detail::Stream& stream, int src, long tag,
                                    std::uint64_t seq, WaitStats* stats);
   /// Request destructor path: drop the slot without corrupting the stream.
   void abandon_recv(comm_detail::Mailbox& box, comm_detail::Stream& stream,
-                    int src, long tag, std::uint64_t seq);
+                    std::uint64_t seq);
 
   int size_;
   TrafficRecorder traffic_;

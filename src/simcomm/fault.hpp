@@ -3,9 +3,10 @@
 //
 // A FaultPlan is built from a FaultSpec and installed on a Cluster (which
 // forwards it to its CommWorld). It drives three failure modes through the
-// request runtime — per-rank straggler delays, per-link message loss with a
-// bounded timeout/retry/backoff protocol, and scheduled rank kills — while
-// preserving the two properties the rest of the system is built on:
+// request runtime — per-rank straggler delays, per-link message loss with
+// bounded retransmission and exponential backoff, and scheduled rank
+// kills — while preserving the two properties the rest of the system is
+// built on:
 //
 //   * Parity by construction: every fault path is behind a null check and
 //     an installed-but-EMPTY plan takes none of them, so a fault-free plan
@@ -14,9 +15,13 @@
 //   * Determinism: each drop/duplicate decision is a pure hash of
 //     (seed, src, dst, tag, seq, attempt) — never a shared RNG stream — so
 //     outcomes are independent of thread interleaving and identical across
-//     replays. Payload math is never perturbed: a survivable plan yields
-//     the same loss trajectory as a fault-free run (modulo elastic
-//     restarts, which legitimately re-partition).
+//     replays. Because every outcome is known when a message is sent,
+//     CommWorld::isend settles it there: how many attempts the link
+//     swallows, when the retransmission that gets through lands (or when
+//     the message is given up as lost), and whether it is duplicated.
+//     Payload math is never perturbed: a survivable plan yields the same
+//     loss trajectory as a fault-free run (modulo elastic restarts, which
+//     legitimately re-partition).
 //
 // Kills are one-shot: a fired KillSpec never fires again, so the epochs a
 // recovery loop replays after restoring a checkpoint run clean.
@@ -33,9 +38,9 @@
 
 namespace sagnn {
 
-/// An injected, unrecoverable communication fault: the bounded retry
-/// protocol exhausted its attempt budget on a lossy link. Surfaced as a
-/// typed error (never a hang) so harnesses can assert on it.
+/// An injected, unrecoverable communication fault: a lossy link swallowed
+/// every attempt of a message's retry budget. Surfaced as a typed error
+/// (never a hang) so harnesses can assert on it.
 class FaultError : public Error {
  public:
   explicit FaultError(const std::string& msg) : Error("fault: " + msg) {}
@@ -93,9 +98,9 @@ struct FaultSpec {
   std::map<int, double> rank_slowdown;
   double straggler_send_delay = 100e-6;  ///< seconds per send per unit slowdown
 
-  /// Probability that a cross-rank message is swallowed by the link (the
-  /// receive-side retry protocol then re-requests it). `link_drop` entries
-  /// override the global probability for specific (src, dst) pairs.
+  /// Probability that a cross-rank transmission is swallowed by the link
+  /// (the sender then retransmits it). `link_drop` entries override the
+  /// global probability for specific (src, dst) pairs.
   double drop_probability = 0;
   std::map<std::pair<int, int>, double> link_drop;
 
@@ -103,10 +108,11 @@ struct FaultSpec {
   /// copy must be suppressed by its sequence number).
   double duplicate_probability = 0;
 
-  /// Retry protocol: a receive on a lossy link times out after
-  /// retry_timeout * backoff^(attempt-1) seconds (capped), triggers a
-  /// retransmission, and gives up with a typed FaultError after
-  /// max_attempts total attempts.
+  /// Retransmission: attempt a + 1 goes out retry_timeout(a) =
+  /// retry_timeout * backoff^(a-1) seconds (capped) after attempt a, from
+  /// the send, like a sender's retransmission timer. A message whose
+  /// max_attempts attempts are all swallowed is lost: its receive throws a
+  /// typed FaultError when the last attempt is swallowed.
   int max_attempts = 5;
   double retry_timeout = 2e-3;
   double backoff = 2.0;
@@ -136,8 +142,6 @@ class FaultPlan {
 
   /// Drop probability of the (src, dst) link; 0 for self-messages.
   double drop_probability(int src, int dst) const;
-  /// True when receives from src must use timed waits + retries.
-  bool lossy(int src, int dst) const { return drop_probability(src, dst) > 0; }
 
   /// Deterministic per-event decisions, keyed by the message identity and
   /// the attempt number (attempt 1 = the original transmission).
@@ -150,8 +154,8 @@ class FaultPlan {
   double send_delay(int rank) const;
 
   int max_attempts() const { return spec_.max_attempts; }
-  /// Receive timeout before retransmission `attempt + 1` fires
-  /// (exponential backoff, capped at retry_timeout_cap).
+  /// Seconds from attempt `attempt` to attempt `attempt + 1` (exponential
+  /// backoff, capped at retry_timeout_cap).
   double retry_timeout(std::uint64_t attempt) const;
 
   /// Throws RankKilledError if an unfired kill for (rank, epoch) has

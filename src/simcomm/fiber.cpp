@@ -176,12 +176,11 @@ struct Fiber final : Waiter {
   /// Set up a fresh start of body(index) on this fiber's stack.
   void prepare(const std::function<void(int)>& fn, int i);
 
-  bool park_until(std::unique_lock<std::mutex>& lock, SteadyTime until) override {
+  void park_until(std::unique_lock<std::mutex>& lock, SteadyTime until) override {
     begin_park(until);  // step 1, under the caller's lock
     lock.unlock();      // step 2: the fiber releases its own lock
     switch_out();       // step 3; the worker settles the park (step 4)
     lock.lock();
-    return !expired;
   }
 
   void unpark() override {
@@ -199,7 +198,6 @@ struct Fiber final : Waiter {
           // Only the party that moves kParked -> kRunning queues it.
           if (word.compare_exchange_weak(w, w & ~kStateMask,
                                          std::memory_order_acq_rel)) {
-            expired = false;
             rt.wake(*this);
             return;
           }
@@ -241,8 +239,6 @@ struct Fiber final : Waiter {
   std::uint64_t gen = 0;  ///< park generation
   SteadyTime deadline;    ///< of the park in progress (max: none)
   bool done = false;      ///< body returned
-  /// Set by whoever requeues a parked fiber; read by it once resumed.
-  bool expired = false;
   Worker* worker = nullptr;  ///< set by the worker before every switch in
   const std::function<void(int)>* body = nullptr;
   int index = 0;
@@ -264,7 +260,6 @@ void Fiber::prepare(const std::function<void(int)>& fn, int i) {
   body = &fn;
   index = i;
   done = false;
-  expired = false;
   word.store(pack(gen, kRunning), std::memory_order_relaxed);
 #if defined(__SANITIZE_ADDRESS__)
   // The previous run never returned from its outermost frames, so their
@@ -285,89 +280,13 @@ void Fiber::prepare(const std::function<void(int)>& fn, int i) {
               static_cast<unsigned>(self >> 32), static_cast<unsigned>(self));
 }
 
-/// The waiter of a plain thread. Parkers are pooled and never freed before
-/// exit, so a waker that read one under a mailbox lock can still unpark it
-/// after the thread that owned it has exited.
-struct ThreadParker final : Waiter {
-  bool park_until(std::unique_lock<std::mutex>& lock, SteadyTime until) override {
-    {
-      // A notify left over from an earlier park is stale: drop it while the
-      // caller's lock still orders us before any waker of this park.
-      std::lock_guard guard(mu);
-      notified = false;
-    }
-    lock.unlock();
-    bool woken = true;
-    {
-      std::unique_lock guard(mu);
-      if (until == SteadyTime::max()) {
-        cv.wait(guard, [&] { return notified; });
-      } else {
-        woken = cv.wait_until(guard, until, [&] { return notified; });
-      }
-      notified = false;
-    }
-    lock.lock();
-    return woken;
-  }
-
-  void unpark() override {
-    {
-      std::lock_guard guard(mu);
-      notified = true;
-    }
-    cv.notify_one();
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool notified = false;
-};
-
-class ParkerPool {
- public:
-  ThreadParker* acquire() {
-    std::lock_guard lock(mu_);
-    if (free_.empty()) {
-      all_.push_back(std::make_unique<ThreadParker>());
-      return all_.back().get();
-    }
-    ThreadParker* p = free_.back();
-    free_.pop_back();
-    return p;
-  }
-  void release(ThreadParker* p) {
-    std::lock_guard lock(mu_);
-    free_.push_back(p);
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadParker>> all_;
-  std::vector<ThreadParker*> free_;
-};
-
-ParkerPool& parker_pool() {
-  static ParkerPool pool;
-  return pool;
-}
-
-/// This thread's parker, taken from the pool on first use and returned
-/// when the thread exits.
-struct ParkerLease {
-  ThreadParker* parker = nullptr;
-  ~ParkerLease() {
-    if (parker != nullptr) parker_pool().release(parker);
-  }
-};
-thread_local ParkerLease t_parker;
-
 }  // namespace
 
 Waiter& current_waiter() {
-  if (t_running != nullptr) return *t_running;
-  if (t_parker.parker == nullptr) t_parker.parker = parker_pool().acquire();
-  return *t_parker.parker;
+  if (t_running == nullptr) {
+    throw Error("a blocking receive must run on a rank fiber (Cluster::run)");
+  }
+  return *t_running;
 }
 
 void sleep_until(SteadyTime deadline) {
@@ -509,7 +428,6 @@ void FiberRuntime::Impl::settle_locked(Fiber& f) {
   }
   // Woken between publishing itself and switching out (kNotified).
   f.word.store(pack(gen, kRunning), std::memory_order_relaxed);
-  f.expired = false;
   push_locked(f);
 }
 
@@ -523,7 +441,6 @@ void FiberRuntime::Impl::fire_timers_locked() {
     std::uint64_t expected = pack(t.gen, kParked);
     if (t.fiber->word.compare_exchange_strong(expected, pack(t.gen, kRunning),
                                               std::memory_order_acq_rel)) {
-      t.fiber->expired = true;
       push_locked(*t.fiber);
       ++woken;
     }

@@ -10,10 +10,12 @@
 // runnable or the earliest timed park expires; nothing spins.
 //
 // The message runtime's one wait path (CommWorld::wait_recv) parks "the
-// current waiter" through Waiter: on a rank fiber that is the fiber itself,
-// which costs a user-space context switch instead of a kernel sleep; on a
-// plain std::thread that drives a CommWorld directly it is a per-thread
-// parker with the same contract.
+// current waiter" through Waiter, the seam between the message runtime and
+// this scheduler. The waiter is the running rank fiber, so a blocked
+// receive costs a user-space context switch instead of a kernel sleep. Off
+// a rank fiber there is no waiter: current_waiter() throws, and nothing
+// but a fiber ever blocks on a mailbox. Sends need no waiter and may come
+// from any thread.
 //
 // Rules for code that runs on a rank fiber:
 //   * Never park while holding a lock. park_until() releases the one lock
@@ -40,17 +42,17 @@ namespace sagnn {
 
 using SteadyTime = std::chrono::steady_clock::time_point;
 
-/// What a blocked receive parks: the running fiber, or a plain thread's
-/// parker. Obtain it with current_waiter(); a waker that found it recorded
-/// under the same lock wakes it with unpark().
+/// What a blocked receive parks: the running rank fiber. Obtain it with
+/// current_waiter(); a waker that found it recorded under the same lock
+/// wakes it with unpark().
 class Waiter {
  public:
   /// Park until unpark() or `deadline` (SteadyTime::max(): none),
   /// whichever comes first. `lock` is held on entry, released while parked
-  /// and held again on return. Returns false iff the deadline expired
-  /// first. A stale unpark meant for an earlier park may end this one
-  /// early, so callers re-check their condition after every return.
-  virtual bool park_until(std::unique_lock<std::mutex>& lock,
+  /// and held again on return. A stale unpark meant for an earlier park
+  /// may end this one early, so callers re-check their condition after
+  /// every return.
+  virtual void park_until(std::unique_lock<std::mutex>& lock,
                           SteadyTime deadline) = 0;
   /// Wake the waiter if it is parked or about to park; a waiter that is
   /// running ignores the call.
@@ -60,8 +62,8 @@ class Waiter {
   ~Waiter() = default;
 };
 
-/// The calling context's waiter: the running fiber, else this thread's
-/// parker.
+/// The running rank fiber's waiter. Throws Error off a rank fiber: a plain
+/// thread has nothing to park.
 Waiter& current_waiter();
 
 /// Sleep the calling rank until `deadline`. A fiber parks on the

@@ -191,11 +191,6 @@ void TrafficRecorder::record_fault_retry() {
   ++faults_.retries;
 }
 
-void TrafficRecorder::record_fault_timeout() {
-  std::lock_guard lock(mutex_);
-  ++faults_.timeouts;
-}
-
 void TrafficRecorder::record_fault_duplicate() {
   std::lock_guard lock(mutex_);
   ++faults_.duplicates;

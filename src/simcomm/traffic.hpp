@@ -82,19 +82,16 @@ struct OverlapSample {
 /// what this process's runtime actually injected.
 struct FaultCounters {
   std::uint64_t drops = 0;       ///< send attempts a lossy link swallowed
-  std::uint64_t retries = 0;     ///< retransmissions posted after timeouts
-  std::uint64_t timeouts = 0;    ///< receive-side timeout expiries
+  std::uint64_t retries = 0;     ///< retransmissions of swallowed attempts
   std::uint64_t duplicates = 0;  ///< redundant deliveries suppressed by seq
   double straggler_seconds = 0;  ///< injected send-side straggler delay
 
   bool any() const {
-    return drops > 0 || retries > 0 || timeouts > 0 || duplicates > 0 ||
-           straggler_seconds > 0;
+    return drops > 0 || retries > 0 || duplicates > 0 || straggler_seconds > 0;
   }
   FaultCounters& operator+=(const FaultCounters& o) {
     drops += o.drops;
     retries += o.retries;
-    timeouts += o.timeouts;
     duplicates += o.duplicates;
     straggler_seconds += o.straggler_seconds;
     return *this;
@@ -144,7 +141,6 @@ class TrafficRecorder {
   /// FaultPlan is installed and actually injecting.
   void record_fault_drop();
   void record_fault_retry();
-  void record_fault_timeout();
   void record_fault_duplicate();
   void record_straggler(double seconds);
   FaultCounters fault_counters() const;

@@ -1,6 +1,7 @@
 // Deterministic fault injection and closed-loop recovery: empty-plan
 // bitwise parity, straggler accounting, exactly-once delivery over lossy
-// links, typed retry exhaustion (never a hang), scheduled rank kills at
+// links, a retransmitted message landing no earlier than its backoffs,
+// typed retry exhaustion (never a hang), scheduled rank kills at
 // epoch boundaries / mid-collective, checkpoint-atomicity survival, and
 // the train()-level recovery loop (transient, cold, and elastic restarts).
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "gnn/distributed_trainer.hpp"
 #include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
@@ -170,14 +172,62 @@ TEST(Faults, LossyLinkDeliversEveryMessageExactlyOnceInOrder) {
     });
     const FaultCounters fc = traffic.fault_counters();
     EXPECT_GT(fc.drops, 0u);
-    // Every swallowed transmission was eventually re-requested: with no
-    // retry budget exhausted, retransmissions equal drops exactly.
+    // Every swallowed transmission was retransmitted: with no retry budget
+    // exhausted, retransmissions equal drops exactly.
     EXPECT_EQ(fc.retries, fc.drops);
-    EXPECT_GE(fc.timeouts, fc.retries);
     EXPECT_GT(fc.duplicates, 0u);
     // Retransmissions put real bytes back on the wire, in their own phase.
     EXPECT_GT(traffic.phase("retry").total_bytes(), 0u);
   });
+}
+
+TEST(Faults, RetransmittedMessageLandsNoEarlierThanItsBackoffs) {
+  // The link swallows the first two transmissions of one message, so the
+  // third lands retry_timeout(1) + retry_timeout(2) after the send. On one
+  // worker rank 1 enters its wait before rank 0 sends anything, so the
+  // blocked time of that wait covers both backoffs. The backoffs are
+  // powers of two in seconds, exact in the clock's nanoseconds.
+  struct ThreadCountGuard {
+    ~ThreadCountGuard() { set_parallel_threads(0); }
+  } guard;
+  set_parallel_threads(1);
+  FaultSpec spec;
+  spec.seed = 5;
+  spec.link_drop[{0, 1}] = 0.5;
+  spec.retry_timeout = 1.0 / 64;
+  spec.backoff = 2.0;
+  const auto plan = FaultPlan::make(spec);
+  constexpr long kTag = 3;
+  std::uint64_t target = 0;
+  while (!(plan->should_drop(0, 1, kTag, target, 1) &&
+           plan->should_drop(0, 1, kTag, target, 2) &&
+           !plan->should_drop(0, 1, kTag, target, 3))) {
+    ++target;
+  }
+  const double backoffs = plan->retry_timeout(1) + plan->retry_timeout(2);
+  WaitStats stats;
+  with_watchdog([&] {
+    run_spmd(2, plan, [&](Comm& comm) {
+      CommWorld& world = comm.world();
+      const std::byte token{0};
+      if (comm.rank() == 0) {
+        (void)world.recv(0, 1, kTag + 1);  // rank 1 is parked in its wait
+        for (std::uint64_t s = 0; s <= target; ++s) {
+          world.send(0, 1, kTag, {&token, 1}, "p2p");
+        }
+        return;
+      }
+      std::vector<Request> slots;
+      for (std::uint64_t s = 0; s <= target; ++s) {
+        slots.push_back(world.irecv(1, 0, kTag));
+      }
+      world.send(1, 0, kTag + 1, {&token, 1}, "p2p");
+      (void)slots.back().wait(&stats);
+      slots.pop_back();
+      (void)waitall(slots);
+    });
+  });
+  EXPECT_GE(stats.blocked, backoffs);
 }
 
 TEST(Faults, RetryExhaustionIsATypedErrorNotAHang) {

@@ -1,13 +1,13 @@
 // The M:N rank runtime (simcomm/fiber.hpp): wakes that race a park, many
 // ranks folded onto one worker with results bitwise equal to four workers,
-// a kill that reaches parked and timed-parked ranks, a plain thread parked
-// in the world and woken by a fiber, and the CPU timer's refusal of an
-// interval that spans a park.
+// a kill that reaches parked and timed-parked ranks, a blocking receive
+// off a rank fiber refused with a typed error, and the CPU timer's refusal
+// of an interval that spans a park.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -112,25 +112,28 @@ TEST(FiberRuntime, SixtyFourRanksOnOneWorkerMatchFourWorkersBitwise) {
 }
 
 TEST(FiberRuntime, KillReachesParkedAndTimedParkedRanks) {
-  // Ranks 1-3 each hand rank 0 a token, then wait for a message rank 0
-  // never sends. Rank 1 waits on a lossy link, so it polls with a timed
-  // park; ranks 2 and 3 park without a deadline. Rank 0 then dies of a
-  // scheduled kill. The abort must wake all three, the timed park well
-  // before its 60 s timeout could expire.
+  // Rank 0 first sends rank 1 a message over a link that swallows every
+  // attempt, 60 s apart, so the message stays in flight for minutes. Ranks
+  // 1-3 each hand rank 0 a token and then wait on tag 2: rank 1 parks until
+  // that message's time (a timed park), ranks 2 and 3 without a deadline
+  // for messages rank 0 never sends. Rank 0 then dies of a scheduled kill
+  // after its one send. The abort must wake all three, the timed park long
+  // before its deadline.
   ThreadCountGuard guard;
   for (int workers : {1, 4}) {
     set_parallel_threads(workers);
     FaultSpec spec;
-    spec.link_drop[{0, 1}] = 0.5;
+    spec.link_drop[{0, 1}] = 1.0;
     spec.retry_timeout = 60;
     spec.retry_timeout_cap = 60;
-    spec.kills.push_back(KillSpec{0, 0, 0, false});
+    spec.kills.push_back(KillSpec{0, 0, 1, false});
     Cluster cluster(4, FaultPlan::make(spec));
     cluster.world().begin_fault_epoch(0);
     std::vector<int> aborted(4, 0);
     const auto body = [&](Comm& comm) {
       const int me = comm.rank();
       if (me == 0) {
+        comm.send<int>(1, 2, std::vector<int>{0}, "p2p");
         for (int src = 1; src < 4; ++src) (void)comm.recv<int>(src, 1);
         comm.world().poll_fault(0);
         return;
@@ -145,24 +148,48 @@ TEST(FiberRuntime, KillReachesParkedAndTimedParkedRanks) {
     };
     with_watchdog([&] { EXPECT_THROW(cluster.run(body), RankKilledError); });
     EXPECT_EQ(aborted, (std::vector<int>{0, 1, 1, 1})) << workers << " workers";
-    EXPECT_EQ(cluster.traffic().fault_counters().timeouts, 0u) << workers;
+    // The send settled the message's whole outcome: all five attempts
+    // swallowed, four of them retransmitted.
+    const FaultCounters fc = cluster.traffic().fault_counters();
+    EXPECT_EQ(fc.drops, 5u) << workers;
+    EXPECT_EQ(fc.retries, 4u) << workers;
   }
 }
 
-TEST(FiberRuntime, PlainThreadParkedInTheWorldIsWokenByAFiber) {
-  // A plain std::thread drives rank 1's mailbox directly and parks on its
-  // per-thread parker; rank 0's fiber sends the message that wakes it.
+TEST(FiberRuntime, BlockingReceiveOffAFiberIsATypedError) {
+  // The watchdog's helper thread is a plain thread: it has nothing to park,
+  // so its blocking receives on rank 1's mailbox throw at once. recv()
+  // throws before it takes a slot, and a refused Request stays pending,
+  // so its destructor releases the slot. Rank 1's fiber then receives on
+  // both streams as if the outsider had never been there.
   with_watchdog([] {
     Cluster cluster(2);
+    CommWorld& world = cluster.world();
+    try {
+      (void)world.recv(1, 0, 42);
+      ADD_FAILURE() << "a plain thread's recv must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("rank fiber"), std::string::npos)
+          << e.what();
+    }
+    {
+      Request refused = world.irecv(1, 0, 43);
+      EXPECT_THROW((void)refused.wait(), Error);
+      EXPECT_TRUE(refused.valid());
+    }
     std::vector<int> got;
-    std::thread outsider(
-        [&] { got = Comm::payload_as<int>(cluster.world().recv(1, 0, 42)); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    cluster.run([](Comm& comm) {
-      if (comm.rank() == 0) comm.send<int>(1, 42, std::vector<int>{7, 8}, "p2p");
+    cluster.run([&](Comm& comm) {
+      if (comm.rank() == 0) {
+        comm.send<int>(1, 42, std::vector<int>{7, 8}, "p2p");
+        comm.send<int>(1, 43, std::vector<int>{1}, "p2p");  // the abandoned slot
+        comm.send<int>(1, 43, std::vector<int>{2}, "p2p");
+        return;
+      }
+      got = comm.recv<int>(0, 42);
+      const std::vector<int> second = comm.recv<int>(0, 43);
+      got.insert(got.end(), second.begin(), second.end());
     });
-    outsider.join();
-    EXPECT_EQ(got, (std::vector<int>{7, 8}));
+    EXPECT_EQ(got, (std::vector<int>{7, 8, 2}));
   });
 }
 

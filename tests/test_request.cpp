@@ -6,14 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <numeric>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "simcomm/cluster.hpp"
 #include "simcomm/collectives.hpp"
 #include "simcomm/comm.hpp"
@@ -22,6 +20,11 @@
 
 namespace sagnn {
 namespace {
+
+/// Restores the environment's pool size (and so the cluster worker count).
+struct ThreadCountGuard {
+  ~ThreadCountGuard() { set_parallel_threads(0); }
+};
 
 TEST(Request, OutOfOrderCompletionAcrossTags) {
   // Rank 1 posts receives for tags 7 and 8, then waits them in the
@@ -304,6 +307,9 @@ TEST(Request, ShuffledPostSendWaitOrdersLoseNoWakeup) {
 }
 
 TEST(Request, ShuffledStressUnderLossyPlanIsDeterministic) {
+  // Every drop, retransmission and duplicate is a pure hash of the message
+  // identity, settled when the message is sent, so the payloads and every
+  // fault counter repeat exactly across runs and worker counts.
   FaultSpec spec;
   spec.seed = 11;
   spec.drop_probability = 0.1;
@@ -312,54 +318,58 @@ TEST(Request, ShuffledStressUnderLossyPlanIsDeterministic) {
   spec.retry_timeout = 1e-4;
   spec.retry_timeout_cap = 1e-3;
   const auto plan = FaultPlan::make(spec);
-  StressRun first;
-  StressRun second;
-  with_watchdog([&] { first = wakeup_stress(plan); });
-  with_watchdog([&] { second = wakeup_stress(plan); });
-  EXPECT_GT(first.faults.drops, 0u);
-  EXPECT_GT(first.faults.duplicates, 0u);
-  EXPECT_EQ(first.faults.retries, first.faults.drops);
-  // Drops, retries and duplicates are pure hashes of the message identity;
-  // timeouts count host-timed expiries and may differ.
-  EXPECT_EQ(first.payloads, second.payloads);
-  EXPECT_EQ(first.faults.drops, second.faults.drops);
-  EXPECT_EQ(first.faults.retries, second.faults.retries);
-  EXPECT_EQ(first.faults.duplicates, second.faults.duplicates);
+  ThreadCountGuard guard;
+  std::vector<StressRun> runs;
+  for (int workers : {1, 4}) {
+    set_parallel_threads(workers);
+    for (int rep = 0; rep < 2; ++rep) {
+      with_watchdog([&] { runs.push_back(wakeup_stress(plan)); });
+    }
+  }
+  ASSERT_EQ(runs.size(), 4u);
+  const FaultCounters& first = runs.front().faults;
+  EXPECT_GT(first.drops, 0u);
+  EXPECT_GT(first.duplicates, 0u);
+  EXPECT_EQ(first.retries, first.drops);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const FaultCounters& fc = runs[i].faults;
+    EXPECT_EQ(runs[i].payloads, runs.front().payloads) << "run " << i;
+    EXPECT_EQ(fc.drops, first.drops) << "run " << i;
+    EXPECT_EQ(fc.retries, first.retries) << "run " << i;
+    EXPECT_EQ(fc.duplicates, first.duplicates) << "run " << i;
+    EXPECT_EQ(fc.straggler_seconds, first.straggler_seconds) << "run " << i;
+  }
 }
 
 TEST(Request, SecondWaiterOnAMailboxIsATypedError) {
-  // A rank is one thread, so one thread blocks on a mailbox at a time. The
-  // owner blocks on tag 1; a second thread then blocks on tag 2 of the same
-  // mailbox. Whichever of the two reaches the wait second is refused with
-  // a typed error — never a silently lost wakeup — and the other completes.
+  // A rank is one fiber, so one fiber blocks on a mailbox at a time. One
+  // worker runs the fibers in rank order: rank 1 blocks on its own
+  // mailbox, then rank 2 tries to block on the same mailbox through
+  // CommWorld::recv and is refused with a typed error — never a silently
+  // lost wakeup — and rank 1 still receives its message.
+  ThreadCountGuard guard;
+  set_parallel_threads(1);
   with_watchdog([] {
-    CommWorld world(2);
-    std::atomic<int> refused{0};
-    std::atomic<int> received{0};
-    auto block_on = [&](long tag) {
-      try {
-        (void)world.recv(1, 0, tag);
-        received.fetch_add(1);
-      } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("one waiter per mailbox"),
-                  std::string::npos)
-            << e.what();
-        refused.fetch_add(1);
+    std::string refusal;
+    std::vector<int> got;
+    run_spmd(3, [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        (void)comm.recv<int>(2, 5);  // rank 2 has made its attempt
+        comm.send<int>(1, 1, std::vector<int>{42}, "p2p");
+      } else if (comm.rank() == 1) {
+        got = comm.recv<int>(0, 1);
+      } else {
+        try {
+          (void)comm.world().recv(1, 0, 2);
+        } catch (const Error& e) {
+          refusal = e.what();
+        }
+        comm.send<int>(0, 5, std::vector<int>{0}, "p2p");
       }
-    };
-    std::thread owner(block_on, 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    std::thread intruder(block_on, 2);
-    while (refused.load() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    const std::byte token{0};
-    world.send(0, 1, 1, {&token, 1}, "p2p");
-    world.send(0, 1, 2, {&token, 1}, "p2p");
-    owner.join();
-    intruder.join();
-    EXPECT_EQ(refused.load(), 1);
-    EXPECT_EQ(received.load(), 1);
+    });
+    EXPECT_NE(refusal.find("one waiter per mailbox"), std::string::npos)
+        << refusal;
+    EXPECT_EQ(got, std::vector<int>{42});
   });
 }
 

@@ -381,32 +381,6 @@ TEST(ServingMutator, DirtyListenerFiresPerChangedRowOnly) {
   EXPECT_EQ(dirtied, (std::vector<vid_t>{2}));
 }
 
-TEST(ServingMutator, ImbalanceTriggersRegistryRepartition) {
-  // 4 equal blocks of a path graph; then pile edges into block 0 until
-  // max/avg load crosses the threshold. The mutator must compact and
-  // re-partition through the registry (same path as the elastic restart),
-  // restoring balance.
-  const vid_t n = 64;
-  GraphMutator g(path_graph(n));
-  g.enable_partition_tracking(make_partitioner("block")->partition(g.materialize(), 4),
-                              "metis", {}, /*imbalance_threshold=*/1.6);
-  ASSERT_NE(g.partition(), nullptr);
-  const double initial = g.imbalance();
-  EXPECT_LT(initial, 1.2);
-
-  int added = 0;
-  for (vid_t u = 0; u < 16 && g.stats().repartitions == 0; ++u) {
-    for (vid_t v = u + 2; v < 16 && g.stats().repartitions == 0; ++v) {
-      if (g.insert_edge(u, v, real_t{1})) ++added;
-    }
-  }
-  EXPECT_GT(added, 0);
-  EXPECT_EQ(g.stats().repartitions, 1u);
-  EXPECT_FALSE(g.has_overlay());  // repartition compacts first
-  EXPECT_LE(g.imbalance(), 1.6);
-  g.partition()->validate();
-}
-
 // ----------------------------------------------------------------- engine
 
 TEST(ServingEngine, MatchesFullForwardBitwiseOnEveryNode) {

@@ -51,27 +51,25 @@ struct Case3d {
   vid_t f;
   int p;
   int d;
-  SpmmMode mode;
 };
 
 // Names the ctest entry of each sweep case (the default would dump the
 // struct's bytes, padding included, which differ between runs).
 void PrintTo(const Case3d& c, std::ostream* os) {
   *os << "n=" << c.n << " m=" << c.m << " f=" << c.f << " p=" << c.p
-      << " d=" << c.d << " " << to_string(c.mode);
+      << " d=" << c.d;
 }
 
 /// Runs `propagates` chained aggregations on every rank and stitches the
 /// H-resident blocks of layer 0's diagonal ranks (one owner per block).
 Matrix run_dist_3d(const CsrMatrix& a, const Matrix& h, int p, int d,
-                   SpmmMode mode, int propagates = 1,
-                   TrafficRecorder* traffic_out = nullptr) {
+                   int propagates = 1, TrafficRecorder* traffic_out = nullptr) {
   const CubeGrid g = CubeGrid::make(p, d);
   const auto ranges = uniform_block_ranges(a.n_rows(), g.q);
   Matrix result(a.n_rows(), h.n_cols());
   Cluster cluster(p);
   cluster.run([&](Comm& comm) {
-    DistSpmm3d spmm_dist(comm, a, ranges, d, mode);
+    DistSpmm3d spmm_dist(comm, a, ranges, d);
     const BlockRange in = spmm_dist.input_range();
     Matrix local = h.slice_rows(in.begin, in.end);
     for (int i = 0; i < propagates; ++i) local = spmm_dist.propagate(local);
@@ -94,55 +92,18 @@ TEST_P(Spmm3dPropagateMatchesSerial, Agrees) {
   Rng rng(c.n + c.p * 31 + c.d);
   const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(c.n, c.m, rng));
   const Matrix h = Matrix::random_uniform(c.n, c.f, rng);
-  EXPECT_LT(run_dist_3d(a, h, c.p, c.d, c.mode).max_abs_diff(spmm(a, h)), 1e-4);
+  EXPECT_LT(run_dist_3d(a, h, c.p, c.d).max_abs_diff(spmm(a, h)), 1e-4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Spmm3dPropagateMatchesSerial,
     ::testing::Values(
         // d = 1: the 2D (SUMMA-style) scheme.
-        Case3d{32, 200, 4, 1, 1, SpmmMode::kOblivious},
-        Case3d{32, 200, 4, 4, 1, SpmmMode::kOblivious},
-        Case3d{32, 200, 4, 4, 1, SpmmMode::kSparsityAware},
-        Case3d{60, 400, 6, 9, 1, SpmmMode::kOblivious},
-        Case3d{60, 400, 6, 9, 1, SpmmMode::kSparsityAware},
-        Case3d{100, 900, 8, 16, 1, SpmmMode::kOblivious},
-        Case3d{100, 900, 8, 16, 1, SpmmMode::kSparsityAware},
+        Case3d{32, 200, 4, 1, 1}, Case3d{32, 200, 4, 4, 1},
+        Case3d{60, 400, 6, 9, 1}, Case3d{100, 900, 8, 16, 1},
         // d > 1: feature slices, including q = 1 and widths below d.
-        Case3d{48, 300, 6, 8, 2, SpmmMode::kOblivious},
-        Case3d{48, 300, 6, 8, 2, SpmmMode::kSparsityAware},
-        Case3d{40, 200, 5, 4, 4, SpmmMode::kSparsityAware},
-        Case3d{64, 500, 7, 12, 3, SpmmMode::kSparsityAware},
-        Case3d{32, 200, 2, 4, 4, SpmmMode::kSparsityAware}));
-
-TEST(Spmm3d, BlockFormsPropagateBitwiseAlike) {
-  // The oblivious tile reads the slice's window of H in place, the
-  // compacted tile the same window of its gathered rows: the same products
-  // in the same order, so every rank's output is bitwise identical.
-  Rng rng(33);
-  const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(60, 500, rng));
-  const Matrix h = Matrix::random_uniform(60, 7, rng);
-  for (int d : {1, 2, 3, 4}) {
-    const int p = 4 * d;  // q = 2
-    const auto ranges = uniform_block_ranges(60, 2);
-    std::vector<Matrix> oblivious(static_cast<std::size_t>(p));
-    std::vector<Matrix> sparse(static_cast<std::size_t>(p));
-    Cluster cluster(p);
-    cluster.run([&](Comm& comm) {
-      DistSpmm3d obl(comm, a, ranges, d, SpmmMode::kOblivious);
-      DistSpmm3d sa(comm, a, ranges, d, SpmmMode::kSparsityAware);
-      const BlockRange in = sa.input_range();
-      const Matrix h_local = h.slice_rows(in.begin, in.end);
-      const auto me = static_cast<std::size_t>(comm.rank());
-      oblivious[me] = obl.propagate(h_local);
-      sparse[me] = sa.propagate(h_local);
-    });
-    for (int rank = 0; rank < p; ++rank) {
-      const auto me = static_cast<std::size_t>(rank);
-      EXPECT_TRUE(sparse[me] == oblivious[me]) << "d=" << d << " rank " << rank;
-    }
-  }
-}
+        Case3d{48, 300, 6, 8, 2}, Case3d{40, 200, 5, 4, 4},
+        Case3d{64, 500, 7, 12, 3}, Case3d{32, 200, 2, 4, 4}));
 
 TEST(Spmm3d, ChainedPropagatesStayCorrect) {
   // Each propagate returns to H residency (grid column) through the
@@ -153,7 +114,7 @@ TEST(Spmm3d, ChainedPropagatesStayCorrect) {
   Matrix expected = h;
   for (int i = 0; i < 3; ++i) expected = spmm(a, expected);
   for (const auto& [p, d] : {std::pair{9, 1}, std::pair{8, 2}}) {
-    const Matrix z = run_dist_3d(a, h, p, d, SpmmMode::kSparsityAware, 3);
+    const Matrix z = run_dist_3d(a, h, p, d, 3);
     EXPECT_LT(z.max_abs_diff(expected), 1e-3) << "p=" << p << " d=" << d;
   }
 }
@@ -172,8 +133,8 @@ TEST(Spmm2d, AllreduceVolumeIsSparsityIndependent) {
   const Matrix h = Matrix::random_uniform(n, 4, rng);
 
   TrafficRecorder t_dense(1), t_sparse(1);
-  run_dist_3d(dense_g, h, 9, 1, SpmmMode::kSparsityAware, 1, &t_dense);
-  run_dist_3d(sparse_g, h, 9, 1, SpmmMode::kSparsityAware, 1, &t_sparse);
+  run_dist_3d(dense_g, h, 9, 1, 1, &t_dense);
+  run_dist_3d(sparse_g, h, 9, 1, 1, &t_sparse);
   EXPECT_EQ(t_dense.phase("allreduce").total_bytes(),
             t_sparse.phase("allreduce").total_bytes());
   EXPECT_GT(t_dense.phase("allreduce").total_bytes(), 0u);

@@ -125,9 +125,10 @@ TEST(Traffic, CopyIsSnapshot) {
 
 TEST(Traffic, ConcurrentShardedRecordingEqualsSerialReplay) {
   // Every source rank records the same script from its own thread, plus a
-  // "retry" row recorded on the DESTINATION's thread (the retry protocol
-  // runs receiver-side). Folding the shards must give exactly what one
-  // thread replaying the same records gets, pair for pair.
+  // "retry" row for another source (record() takes any source from any
+  // thread, and takes that source's shard lock). Folding the shards must
+  // give exactly what one thread replaying the same records gets, pair for
+  // pair.
   const int p = 8;
   const std::vector<std::string> phases{"alltoall#0", "alltoall#1", "allreduce",
                                         "bcast"};
