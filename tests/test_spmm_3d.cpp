@@ -1,6 +1,7 @@
 // Distributed tile SpMM on stacked square grids (2D at d = 1, the
 // communication-avoiding 3D scheme above): cube-grid geometry rules,
-// SpMM- and training-level serial parity at every depth, the structural
+// SpMM- and training-level serial parity at every depth, agreement with
+// the 1D SpMM of either mode on the same block rows, the structural
 // property that its all-reduce volume is sparsity-independent, and the
 // empty-slice path when the feature width is narrower than the depth
 // (GNN-shaped widths are exactly where that happens).
@@ -8,6 +9,7 @@
 
 #include <ostream>
 
+#include "dist/spmm_15d.hpp"
 #include "dist/spmm_3d.hpp"
 #include "gnn/serial_trainer.hpp"
 #include "gnn/trainer.hpp"
@@ -51,13 +53,16 @@ struct Case3d {
   vid_t f;
   int p;
   int d;
+  /// Mode of the 1D SpMM on the same q block rows that the tile result is
+  /// also checked against; the tiles themselves have no mode.
+  SpmmMode mode;
 };
 
 // Names the ctest entry of each sweep case (the default would dump the
 // struct's bytes, padding included, which differ between runs).
 void PrintTo(const Case3d& c, std::ostream* os) {
   *os << "n=" << c.n << " m=" << c.m << " f=" << c.f << " p=" << c.p
-      << " d=" << c.d;
+      << " d=" << c.d << " " << to_string(c.mode);
 }
 
 /// Runs `propagates` chained aggregations on every rank and stitches the
@@ -85,6 +90,23 @@ Matrix run_dist_3d(const CsrMatrix& a, const Matrix& h, int p, int d,
   return result;
 }
 
+/// One multiply of the 1D SpMM (DistSpmm15d at c = 1) on q ranks holding
+/// the q uniform block rows, stitched from every rank's Z block.
+Matrix run_dist_1d(const CsrMatrix& a, const Matrix& h, int q, SpmmMode mode) {
+  const auto ranges = uniform_block_ranges(a.n_rows(), q);
+  Matrix result(a.n_rows(), h.n_cols());
+  Cluster cluster(q);
+  cluster.run([&](Comm& comm) {
+    DistSpmm15d spmm_dist(comm, a, ranges, 1, mode);
+    const BlockRange r = spmm_dist.my_range();
+    const Matrix z = spmm_dist.multiply(h.slice_rows(r.begin, r.end));
+    for (vid_t i = 0; i < z.n_rows(); ++i) {
+      std::copy(z.row(i), z.row(i) + z.n_cols(), result.row(r.begin + i));
+    }
+  });
+  return result;
+}
+
 class Spmm3dPropagateMatchesSerial : public ::testing::TestWithParam<Case3d> {};
 
 TEST_P(Spmm3dPropagateMatchesSerial, Agrees) {
@@ -92,18 +114,32 @@ TEST_P(Spmm3dPropagateMatchesSerial, Agrees) {
   Rng rng(c.n + c.p * 31 + c.d);
   const CsrMatrix a = CsrMatrix::from_coo(erdos_renyi(c.n, c.m, rng));
   const Matrix h = Matrix::random_uniform(c.n, c.f, rng);
-  EXPECT_LT(run_dist_3d(a, h, c.p, c.d).max_abs_diff(spmm(a, h)), 1e-4);
+  const Matrix z = run_dist_3d(a, h, c.p, c.d);
+  EXPECT_LT(z.max_abs_diff(spmm(a, h)), 1e-4);
+  // Tile partials summed across a grid row and whole block rows multiplied
+  // on their owner give the same aggregation, whichever H rows the 1D
+  // exchange moves.
+  const int q = CubeGrid::make(c.p, c.d).q;
+  EXPECT_LT(z.max_abs_diff(run_dist_1d(a, h, q, c.mode)), 1e-4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Spmm3dPropagateMatchesSerial,
     ::testing::Values(
         // d = 1: the 2D (SUMMA-style) scheme.
-        Case3d{32, 200, 4, 1, 1}, Case3d{32, 200, 4, 4, 1},
-        Case3d{60, 400, 6, 9, 1}, Case3d{100, 900, 8, 16, 1},
+        Case3d{32, 200, 4, 1, 1, SpmmMode::kOblivious},
+        Case3d{32, 200, 4, 4, 1, SpmmMode::kOblivious},
+        Case3d{32, 200, 4, 4, 1, SpmmMode::kSparsityAware},
+        Case3d{60, 400, 6, 9, 1, SpmmMode::kOblivious},
+        Case3d{60, 400, 6, 9, 1, SpmmMode::kSparsityAware},
+        Case3d{100, 900, 8, 16, 1, SpmmMode::kOblivious},
+        Case3d{100, 900, 8, 16, 1, SpmmMode::kSparsityAware},
         // d > 1: feature slices, including q = 1 and widths below d.
-        Case3d{48, 300, 6, 8, 2}, Case3d{40, 200, 5, 4, 4},
-        Case3d{64, 500, 7, 12, 3}, Case3d{32, 200, 2, 4, 4}));
+        Case3d{48, 300, 6, 8, 2, SpmmMode::kOblivious},
+        Case3d{48, 300, 6, 8, 2, SpmmMode::kSparsityAware},
+        Case3d{40, 200, 5, 4, 4, SpmmMode::kSparsityAware},
+        Case3d{64, 500, 7, 12, 3, SpmmMode::kSparsityAware},
+        Case3d{32, 200, 2, 4, 4, SpmmMode::kSparsityAware}));
 
 TEST(Spmm3d, ChainedPropagatesStayCorrect) {
   // Each propagate returns to H residency (grid column) through the
