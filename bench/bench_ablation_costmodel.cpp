@@ -47,15 +47,16 @@ int main(int argc, char** argv) {
     // are deterministic, so only the modeling changes between rows).
     std::vector<double> totals;
     for (const SchemeSpec& scheme : {kCagnet1d, kSa1d, kSaGvb1d}) {
-      ExperimentSpec spec;
-      spec.strategy = scheme.strategy;
-      spec.partitioner = scheme.partitioner;
-      spec.p = p;
-      spec.cost_model.beta_intra *= v.beta_factor;
-      spec.cost_model.beta_inter *= v.beta_factor;
-      spec.cost_model.alpha_intra *= v.alpha_factor;
-      spec.cost_model.alpha_inter *= v.alpha_factor;
-      totals.push_back(run_experiment(ds, spec).modeled_epoch_seconds());
+      TrainConfig cfg;
+      cfg.strategy = scheme.strategy;
+      cfg.partitioner = scheme.partitioner;
+      cfg.p = p;
+      cfg.gcn.epochs = 2;
+      cfg.cost_model.beta_intra *= v.beta_factor;
+      cfg.cost_model.beta_inter *= v.beta_factor;
+      cfg.cost_model.alpha_intra *= v.alpha_factor;
+      cfg.cost_model.alpha_inter *= v.alpha_factor;
+      totals.push_back(run_experiment(ds, cfg).modeled_epoch_seconds());
     }
     const char* names[] = {"CAGNET", "SA", "SA+GVB"};
     int best = 0;

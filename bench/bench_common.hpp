@@ -33,13 +33,13 @@ inline const SchemeSpec kSaGvb1d{"SA+GVB", "1d-sparse", "gvb"};
 
 inline TrainResult run_scheme(const Dataset& ds, const SchemeSpec& scheme,
                               int p, int c = 1, int epochs = 2) {
-  ExperimentSpec spec;
-  spec.strategy = scheme.strategy;
-  spec.partitioner = scheme.partitioner;
-  spec.p = p;
-  spec.c = c;
-  spec.epochs = epochs;
-  return run_experiment(ds, spec);
+  TrainConfig cfg;
+  cfg.strategy = scheme.strategy;
+  cfg.partitioner = scheme.partitioner;
+  cfg.p = p;
+  cfg.c = c;
+  cfg.gcn.epochs = epochs;
+  return run_experiment(ds, cfg);
 }
 
 /// Milliseconds with 4 significant digits, for table cells.

@@ -35,6 +35,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,9 @@ struct Record {
   double straggler_seconds = 0;
   double wall_seconds = 0;
   double goodput_eps = 0;  ///< useful (non-replayed) epochs per wall second
-  bool bitwise = false;    ///< trajectory matched the fault-free reference
+  /// Trajectory matched the fault-free reference bitwise; empty (written
+  /// as null) for a run that has no reference to compare against.
+  std::optional<bool> bitwise;
   bool ok = false;
 };
 
@@ -106,7 +109,8 @@ void emit_json(const std::string& path) {
         << ", \"straggler_seconds\": " << r.straggler_seconds
         << ", \"wall_seconds\": " << r.wall_seconds
         << ", \"goodput_eps\": " << r.goodput_eps
-        << ", \"bitwise\": " << (r.bitwise ? "true" : "false")
+        << ", \"bitwise\": "
+        << (!r.bitwise ? "null" : (*r.bitwise ? "true" : "false"))
         << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
         << (i + 1 < g_records.size() ? "," : "") << "\n";
   }
@@ -180,8 +184,9 @@ Record run_faulty(const std::string& scenario, const Dataset& ds, int p,
   rec.wall_seconds = wall_seconds;
   rec.goodput_eps =
       wall_seconds > 0 ? static_cast<double>(rec.epochs) / wall_seconds : 0;
-  rec.bitwise =
-      !reference.empty() && same_trajectory_bitwise(r.epochs, reference);
+  if (!reference.empty()) {
+    rec.bitwise = same_trajectory_bitwise(r.epochs, reference);
+  }
   if (trajectory_out != nullptr) *trajectory_out = r.epochs;
   std::filesystem::remove(path);
 
@@ -193,7 +198,7 @@ Record run_faulty(const std::string& scenario, const Dataset& ds, int p,
        std::to_string(rec.drops) + "/" + std::to_string(rec.retries),
        std::to_string(rec.duplicates), Table::num(rec.straggler_seconds, 4),
        Table::num(rec.goodput_eps, 4),
-       rec.bitwise ? "bitwise" : (reference.empty() ? "-" : "DIFF")});
+       !rec.bitwise ? "-" : (*rec.bitwise ? "bitwise" : "DIFF")});
   return rec;
 }
 
@@ -243,7 +248,7 @@ int main(int argc, char** argv) {
                                   FaultRecovery::kCheckpointRestart,
                                   /*ckpt_interval=*/0, ref, table);
     Record full = rec;
-    full.ok = rec.bitwise && rec.kills == 0 && rec.drops == 0 &&
+    full.ok = rec.bitwise == true && rec.kills == 0 && rec.drops == 0 &&
               rec.retries == 0 && rec.duplicates == 0 &&
               rec.straggler_seconds == 0;
     if (!full.ok) violation("empty plan was not bitwise-silent");
@@ -257,7 +262,7 @@ int main(int argc, char** argv) {
     spec.straggler_send_delay = 50e-6;
     Record rec = run_faulty("straggler", ds, p, epochs, spec,
                             FaultRecovery::kNone, 0, ref, table);
-    rec.ok = rec.bitwise && rec.straggler_seconds > 0 && rec.drops == 0;
+    rec.ok = rec.bitwise == true && rec.straggler_seconds > 0 && rec.drops == 0;
     if (!rec.ok) violation("straggler run lost bitwise parity or counters");
     g_records.push_back(rec);
   }
@@ -272,12 +277,12 @@ int main(int argc, char** argv) {
     spec.max_attempts = 8;
     Record rec = run_faulty("lossy", ds, p, epochs, spec, FaultRecovery::kNone,
                             0, ref, table);
-    rec.ok = rec.bitwise && rec.drops > 0 && rec.retries == rec.drops;
+    rec.ok = rec.bitwise == true && rec.drops > 0 && rec.retries == rec.drops;
     if (!rec.ok) {
       violation("lossy run broke exactly-once delivery (drops=" +
                 std::to_string(rec.drops) + " retries=" +
                 std::to_string(rec.retries) + " bitwise=" +
-                (rec.bitwise ? "yes" : "no") + ")");
+                (rec.bitwise == true ? "yes" : "no") + ")");
     }
     g_records.push_back(rec);
   }
@@ -297,7 +302,7 @@ int main(int argc, char** argv) {
     // the interval itself. Wasted work above kills * interval means the
     // recovery loop restored an older snapshot than it had to.
     const int replay_bound = rec.kills * interval;
-    rec.ok = rec.bitwise && rec.kills == 2 && rec.restores == 2 &&
+    rec.ok = rec.bitwise == true && rec.kills == 2 && rec.restores == 2 &&
              rec.replayed_epochs <= replay_bound;
     if (!rec.ok) {
       violation("preempt interval=" + std::to_string(interval) +
@@ -305,7 +310,7 @@ int main(int argc, char** argv) {
                 std::to_string(rec.restores) + " replayed=" +
                 std::to_string(rec.replayed_epochs) + " bound=" +
                 std::to_string(replay_bound) + " bitwise=" +
-                (rec.bitwise ? "yes" : "no") + ")");
+                (rec.bitwise == true ? "yes" : "no") + ")");
     }
     g_records.push_back(rec);
   }

@@ -24,7 +24,7 @@
 //
 // Since the runtime went request-based, every row also carries a MEASURED
 // overlap column: the wall-clock post->wait decomposition the exchanges
-// themselves recorded (TrainResult::measured_overlap_fraction(), hidden /
+// themselves recorded (TrainResult::alltoall_overlap.fraction(), hidden /
 // (hidden + blocked) seconds). The model counterpart of that fraction is
 // the schedule-only 1 - 1/stages; "gap pp" is measured minus model in
 // percentage points, and the JSON artifact carries all three per record
@@ -43,8 +43,8 @@
 // posting ahead collapses measured to the bulk row's near-zero.
 //
 // The scale table attributes that saturation explicitly: 'tail ms' is
-// the single worst blocked wait of the run (the measured straggler
-// bound, EpochCost::measured_max_blocked) and 'drop/rt' are the fault
+// the single worst blocked wait of the run (the measured straggler bound,
+// TrainResult::alltoall_overlap.max_blocked) and 'drop/rt' are the fault
 // layer's drop/retry counters — asserted ZERO on these fault-free runs,
 // so the gap column is provably a host-scheduler readout and not
 // injected-fault pollution. Both land in the JSON artifact (tail_ms,
@@ -102,12 +102,13 @@ void run_dataset(const Dataset& ds, const std::vector<int>& ps,
     double baseline_compute = 0, baseline_bulk = 0, baseline_gap = 0;
     double baseline_a2a_mb = 0;
     for (int k : chunk_counts) {
-      ExperimentSpec spec;
-      spec.strategy = k == 0 ? "1d-sparse" : "1d-overlap";
-      spec.partitioner = "gvb";
-      spec.p = p;
-      spec.pipeline_chunks = std::max(1, k);
-      const TrainResult r = run_experiment(ds, spec);
+      TrainConfig cfg;
+      cfg.strategy = k == 0 ? "1d-sparse" : "1d-overlap";
+      cfg.partitioner = "gvb";
+      cfg.p = p;
+      cfg.pipeline_chunks = std::max(1, k);
+      cfg.gcn.epochs = 2;
+      const TrainResult r = run_experiment(ds, cfg);
       const auto& a2a = r.phase_volumes.at("alltoall");
 
       // Pin the (noisy, re-measured) compute term to the baseline row;
@@ -150,7 +151,7 @@ void run_dataset(const Dataset& ds, const std::vector<int>& ps,
                      Table::num(a2a.megabytes_per_epoch, 4),
                      Table::num(a2a.messages_per_epoch, 4), ms(bulk), ms(pipe),
                      ms(ideal), Table::num(recovered, 3),
-                     Table::num(r.measured_overlap_fraction() * 100.0, 3)});
+                     Table::num(r.alltoall_overlap.fraction() * 100.0, 3)});
     }
   }
   table.print(std::cout);
@@ -178,11 +179,12 @@ struct ScaleRecord {
   double model_hidden_pct = 0;
   double gap_pct = 0;
   /// Host-straggler attribution of the gap: the single worst blocked wait
-  /// of the run (EpochCost::measured_max_blocked — the bound the measured
-  /// fraction saturates at under deep K), plus the fault-layer counters.
-  /// On these fault-free runs drops/retries/straggler must be ZERO; a
-  /// nonzero value means the overlap measurement is polluted by injected
-  /// faults and the gap column stops being a host-scheduler readout.
+  /// of the run (TrainResult::alltoall_overlap.max_blocked — the bound the
+  /// measured fraction saturates at under deep K), plus the fault-layer
+  /// counters. On these fault-free runs drops/retries/straggler must be
+  /// ZERO; a nonzero value means the overlap measurement is polluted by
+  /// injected faults and the gap column stops being a host-scheduler
+  /// readout.
   double tail_ms = 0;
   std::uint64_t drops = 0;
   std::uint64_t retries = 0;
@@ -242,13 +244,13 @@ std::vector<ScaleRecord> run_scale_point(const Dataset& ds,
                                          Table& table) {
   std::vector<ScaleRecord> records;
 
-  ExperimentSpec spec;
-  spec.strategy = baseline;
-  spec.partitioner = "gvb";
-  spec.p = p;
-  spec.c = c;
-  spec.epochs = 1;  // traffic is identical every epoch; one is exact
-  const TrainResult base_r = run_experiment(ds, spec);
+  TrainConfig cfg;
+  cfg.strategy = baseline;
+  cfg.partitioner = "gvb";
+  cfg.p = p;
+  cfg.c = c;
+  cfg.gcn.epochs = 1;  // traffic is identical every epoch; one is exact
+  const TrainResult base_r = run_experiment(ds, cfg);
   const EpochCost base = base_r.modeled_epoch;
   const auto [alpha_eff, beta_eff] = base.effective_alpha_beta();
   const double base_a2a_mb = base_r.phase_volumes.at("alltoall").megabytes_per_epoch;
@@ -260,7 +262,7 @@ std::vector<ScaleRecord> run_scale_point(const Dataset& ds,
                        const TrainResult& r, double bulk, double pipe,
                        double model, double ideal) {
     const PhaseVolume& a2a = r.phase_volumes.at("alltoall");
-    const double measured_pct = r.measured_overlap_fraction() * 100.0;
+    const double measured_pct = r.alltoall_overlap.fraction() * 100.0;
     const double recovered =
         base_gap > 0 ? (base_bulk - pipe) / base_gap * 100.0 : 0.0;
     const double model_pct =
@@ -269,7 +271,7 @@ std::vector<ScaleRecord> run_scale_point(const Dataset& ds,
     // The straggler attribution: the worst single blocked wait bounds how
     // much hidden time deep-K schedules can measure on this host, and the
     // fault counters prove the measurement ran fault-free (see ScaleRecord).
-    const double tail_ms = r.modeled_epoch.measured_max_blocked * 1e3;
+    const double tail_ms = r.alltoall_overlap.max_blocked * 1e3;
     if (r.faults.any()) {
       std::cerr << "FAULT-FREE VIOLATION: " << strategy << " p=" << p
                 << " K=" << k << " recorded injected-fault activity ("
@@ -300,9 +302,9 @@ std::vector<ScaleRecord> run_scale_point(const Dataset& ds,
   double best_pipe = base_bulk, best_model = base_bulk;
   int best_k = 0;
   for (int k : chunk_counts) {
-    spec.strategy = overlap;
-    spec.pipeline_chunks = k;
-    const TrainResult r = run_experiment(ds, spec);
+    cfg.strategy = overlap;
+    cfg.pipeline_chunks = k;
+    const TrainResult r = run_experiment(ds, cfg);
     const auto& a2a = r.phase_volumes.at("alltoall");
     if (a2a.megabytes_per_epoch != base_a2a_mb) {
       std::cerr << "PAYLOAD VIOLATION: " << overlap << " p=" << p << " K=" << k
@@ -355,7 +357,7 @@ std::vector<ScaleRecord> run_scale_point(const Dataset& ds,
     if (p == 8 && !cross_layer && k == 2 && std::abs(gap) > 25.0) {
       std::cerr << "MEASURED-OVERLAP VIOLATION: " << overlap << " p=" << p
                 << " K=" << k << " measured "
-                << r.measured_overlap_fraction() * 100.0
+                << r.alltoall_overlap.fraction() * 100.0
                 << "% hidden vs schedule model "
                 << (1.0 - 1.0 / r.pipeline_stages) * 100.0 << "% (gap "
                 << gap << " pp exceeds 25)\n";

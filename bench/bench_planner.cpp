@@ -49,14 +49,14 @@ struct CellRecord {
 /// prediction's nominal term, and take the pipelined critical path at the
 /// stage count the run actually used.
 double truth_seconds(const Dataset& ds, const PlanCandidate& cand) {
-  ExperimentSpec spec;
-  spec.strategy = cand.strategy;
-  spec.partitioner = cand.partitioner;
-  spec.p = cand.p;
-  spec.c = cand.c;
-  spec.pipeline_chunks = cand.chunks;
-  spec.epochs = 1;
-  const TrainResult r = run_experiment(ds, spec);
+  TrainConfig cfg;
+  cfg.strategy = cand.strategy;
+  cfg.partitioner = cand.partitioner;
+  cfg.p = cand.p;
+  cfg.c = cand.c;
+  cfg.pipeline_chunks = cand.chunks;
+  cfg.gcn.epochs = 1;
+  const TrainResult r = run_experiment(ds, cfg);
   EpochCost truth = r.modeled_epoch;
   truth.compute = cand.predicted.compute;
   return truth.total_pipelined(r.pipeline_stages);

@@ -54,11 +54,12 @@ int main(int argc, char** argv) {
     for (const Scheme& s : {Scheme{"oblivious", "1d-oblivious", "block"},
                             Scheme{"SA", "1d-sparse", "block"},
                             Scheme{"SA+GVB", "1d-sparse", "gvb"}}) {
-      ExperimentSpec spec;
-      spec.strategy = s.strategy;
-      spec.partitioner = s.partitioner;
-      spec.p = p;
-      const auto r = run_experiment(ds, spec);
+      TrainConfig cfg;
+      cfg.strategy = s.strategy;
+      cfg.partitioner = s.partitioner;
+      cfg.p = p;
+      cfg.gcn.epochs = 2;
+      const auto r = run_experiment(ds, cfg);
       double mb = 0;
       for (const auto& [phase, vol] : r.phase_volumes) {
         mb += vol.megabytes_per_epoch;

@@ -45,19 +45,19 @@ int main(int argc, char** argv) {
 
   try {
     const Dataset ds = make_dataset(dataset, DatasetScale::kSmall);
-    ExperimentSpec spec;
-    spec.strategy = strategy;
-    spec.partitioner = partitioner;
-    spec.p = p;
-    spec.c = c;  // only the 1.5D family reads it; others ignore c
-    spec.pipeline_chunks = chunks;  // only the pipelined strategies read it
-    spec.epochs = 10;
-    spec.gcn.learning_rate = 0.3f;
+    TrainConfig cfg;
+    cfg.strategy = strategy;
+    cfg.partitioner = partitioner;
+    cfg.p = p;
+    cfg.c = c;  // only the 1.5D family reads it; others ignore c
+    cfg.pipeline_chunks = chunks;  // only the pipelined strategies read it
+    cfg.gcn.epochs = 10;
+    cfg.gcn.learning_rate = 0.3f;
 
     std::printf("== %s | %s | partitioner=%s | p=%d c=%d ==\n",
-                ds.name.c_str(), strategy.c_str(), partitioner.c_str(), spec.p,
-                spec.c);
-    const TrainResult r = run_experiment(ds, spec);
+                ds.name.c_str(), strategy.c_str(), partitioner.c_str(), cfg.p,
+                cfg.c);
+    const TrainResult r = run_experiment(ds, cfg);
 
     std::printf("\nepoch  loss      train-acc\n");
     for (std::size_t e = 0; e < r.epochs.size(); ++e) {

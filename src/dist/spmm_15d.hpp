@@ -82,7 +82,7 @@ class DistSpmm15d {
   /// + pending irecvs) before chunk k is waited for and computed — a
   /// genuine double-buffered (depth-2) pipeline whose wait() records the
   /// measured hidden/blocked wall-clock split (see
-  /// EpochCost::measured_overlap_fraction()). Chunk k's SpMMs accumulate
+  /// TrainResult::alltoall_overlap). Chunk k's SpMMs accumulate
   /// in place into Z's column window of chunk k (the window form of
   /// spmm_accumulate): a remote block from its packed chunk, the plain own
   /// block from the same window of H in place, so no chunk is copied into

@@ -385,6 +385,7 @@ void DistributedTrainer::finalize() {
   result_.modeled_epoch =
       job_strategy_->epoch_cost(config_.cost_model, traffic, rank_cpu_seconds_,
                                 ctx, traffic_epochs);
+  result_.alltoall_overlap = traffic.overlap_total("alltoall");
 
   // Fault/recovery surfacing: counters accumulate across clusters torn
   // down by kill recovery plus the live recorder.

@@ -129,9 +129,9 @@ void CostEstimator::exchange(EpochCost& c, double bytes, double msgs,
   c.other_latency += latency;
 }
 
-double CostEstimator::compute_seconds(double madds,
-                                      double host_madds_per_second) const {
-  return madds / host_madds_per_second * m_.compute_scale * m_.volume_scale;
+double CostEstimator::compute_seconds(double madds) const {
+  constexpr double kHostMaddsPerSecond = 2.5e8;  // nominal, never measured
+  return madds / kHostMaddsPerSecond * m_.compute_scale * m_.volume_scale;
 }
 
 std::vector<vid_t> propagate_widths(const std::vector<vid_t>& dims) {
@@ -171,8 +171,7 @@ std::vector<vid_t> predict_base(EpochCost& cost, const PredictInput& in,
   }
   // Forward GEMM plus the ~2x of backward (dX and dW) per layer.
   const double dense_madds = 3.0 * dense_rows * gemm_cols;
-  cost.compute = e.compute_seconds(spmm_madds + dense_madds,
-                                   in.host_madds_per_second);
+  cost.compute = e.compute_seconds(spmm_madds + dense_madds);
 
   // Per-layer weight-gradient ring all-reduces plus the loss triple, over
   // the strategy's reduce scope.

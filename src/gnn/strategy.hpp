@@ -64,12 +64,6 @@ struct PredictInput {
   std::string partitioner = "block";  ///< partitioner registry name
   CostModel model;                    ///< volume_scale already calibrated
   std::vector<vid_t> dims;            ///< GCN layer widths {d_0 .. d_L}
-  /// Host multiply-add throughput for the NOMINAL compute term (no
-  /// measurement enters a prediction — that is what keeps a ranked plan
-  /// deterministic across machines and thread counts). bench_planner pins
-  /// the truth runs' compute to the same closed form, so regret compares
-  /// schedules, not host noise.
-  double host_madds_per_second = 2.5e8;
 };
 
 /// A predicted epoch cost: the closed-form volume/message models of
@@ -121,10 +115,14 @@ class CostEstimator {
   void exchange(EpochCost& c, double bytes, double msgs, int group,
                 int stride) const;
 
-  /// Nominal compute seconds for `madds` multiply-adds: host throughput
-  /// scaled by the model's host->device factor and volume_scale (compute
-  /// is linear in n*f exactly like bytes — see CostModel::volume_scale).
-  double compute_seconds(double madds, double host_madds_per_second) const;
+  /// Nominal compute seconds for `madds` multiply-adds at a fixed host
+  /// throughput, scaled by the model's host->device factor and
+  /// volume_scale (compute is linear in n*f exactly like bytes — see
+  /// CostModel::volume_scale). No measurement enters a prediction — that
+  /// is what keeps a ranked plan deterministic across machines and thread
+  /// counts. bench_planner pins the truth runs' compute to the same closed
+  /// form, so regret compares schedules, not host noise.
+  double compute_seconds(double madds) const;
 
  private:
   const CostModel& m_;

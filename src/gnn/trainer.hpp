@@ -135,15 +135,17 @@ struct TrainResult {
     return modeled_epoch.total_overlapped();
   }
 
-  /// MEASURED (host wall-clock) share of the nonblocking exchanges'
-  /// outstanding time hidden behind useful work — the runtime counterpart
-  /// of the modeled schedule columns above. 0 for strategies without
-  /// nonblocking exchanges; ~0 for bulk-synchronous alltoall strategies;
-  /// approaches 1 - 1/stages for the pipelined ones when compute covers
-  /// the exchange. Not checkpointed: a resumed run restarts it.
-  double measured_overlap_fraction() const {
-    return modeled_epoch.measured_overlap_fraction();
-  }
+  /// MEASURED (host wall-clock) post→wait ledger of the SpMM exchanges
+  /// ("alltoall" and its chunk stages), summed over ranks: hidden vs
+  /// blocked seconds, completed waits, and the longest single blocked
+  /// wait. Whole-run sums since the live cluster was built (or its
+  /// recorder restored from a checkpoint), NOT per-epoch values. Its
+  /// fraction() is the runtime counterpart of the modeled schedule
+  /// columns above: 0 without a p2p exchange (oblivious strategies),
+  /// lowest for bulk-synchronous alltoalls (waited right after posting),
+  /// approaching 1 - 1/stages for the pipelined ones when compute covers
+  /// the exchange. Not checkpointed.
+  OverlapSample alltoall_overlap;
 
   /// Injected-fault event counters recorded by the runtime (drops,
   /// retries, suppressed duplicates, straggler seconds) —

@@ -65,7 +65,6 @@ Plan plan_strategies(const GraphCensus& census, const PlannerOptions& opts) {
             in.partitioner = partitioner;
             in.model = model;
             in.dims = opts.dims;
-            in.host_madds_per_second = opts.host_madds_per_second;
             const PredictedCost predicted = strategy->predict_cost(in);
             if (!predicted.valid) {
               skipped.insert(strategy_name + " p=" + std::to_string(p) +

@@ -39,12 +39,10 @@ struct PlannerOptions {
   int pinned_chunks = 0;  ///< >= 1: plan exactly this K
 
   /// Priced through this model; volume_scale == 1.0 is auto-calibrated to
-  /// the census's sim_scale, mirroring ExperimentSpec.
+  /// the census's sim_scale, mirroring run_experiment().
   CostModel cost_model;
   /// GCN layer dims; empty = the default architecture {f, 16, 16, classes}.
   std::vector<vid_t> dims;
-  /// Host throughput for the nominal compute term (see PredictInput).
-  double host_madds_per_second = 2.5e8;
 };
 
 /// One priced candidate configuration.

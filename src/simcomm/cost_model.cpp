@@ -80,12 +80,6 @@ void EpochCost::scale(double factor) {
   other_latency *= factor;
   alltoall_messages *= factor;
   alltoall_bytes *= factor;
-  // The fraction is scale-invariant; scaling the terms keeps the hidden/
-  // blocked seconds themselves per-epoch like every other field.
-  // measured_max_blocked is a per-wait maximum, not a per-run sum, so
-  // per-epoch averaging must not touch it.
-  measured_hidden *= factor;
-  measured_blocked *= factor;
 }
 
 EpochCost epoch_cost(const CostModel& model, const TrafficRecorder& traffic,
@@ -117,21 +111,6 @@ EpochCost epoch_cost(const CostModel& model, const TrafficRecorder& traffic,
       cost.other += d.seconds;
       cost.other_latency += d.latency;
     }
-  }
-  // Measured post→wait ledger: same base-name exclusion discipline as the
-  // modeled buckets, so e.g. the one-time index exchange a strategy
-  // excludes from its epoch cost does not pollute the overlap fraction.
-  for (const auto& name : traffic.overlap_names()) {
-    const std::string base = TrafficRecorder::base_name(name);
-    if (base == "sync") continue;
-    if (std::find(exclude_bases.begin(), exclude_bases.end(), base) !=
-        exclude_bases.end()) {
-      continue;
-    }
-    const OverlapSample s = traffic.overlap(name);
-    cost.measured_hidden += s.hidden;
-    cost.measured_blocked += s.blocked;
-    cost.measured_max_blocked = std::max(cost.measured_max_blocked, s.max_blocked);
   }
   return cost;
 }

@@ -111,29 +111,6 @@ struct EpochCost {
   double alltoall_messages = 0;
   double alltoall_bytes = 0;
 
-  /// MEASURED (host wall-clock, not modeled) decomposition of the
-  /// nonblocking exchanges' post→wait windows, summed over ranks: seconds
-  /// covered by other work vs seconds stalled inside wait(). Absolute
-  /// values live on the host clock; only measured_overlap_fraction() is
-  /// comparable against the modeled schedule columns. Not checkpointed —
-  /// resumes restart the measurement.
-  double measured_hidden = 0;
-  double measured_blocked = 0;
-  /// Longest SINGLE stalled wait (host seconds) across all exchanges — the
-  /// host's straggler bound: one late deposit caps how much of any window
-  /// a schedule can hide, which is what the measured fraction saturates at
-  /// when K grows deep. A max, not a sum; scale() leaves it alone.
-  double measured_max_blocked = 0;
-
-  /// Measured share of the outstanding-communication time that was hidden
-  /// behind useful work, hidden / (hidden + blocked). The schedule model's
-  /// counterpart is 1 - 1/depth (total_pipelined()); bench_overlap tracks
-  /// the gap between the two. 0 when no nonblocking exchange ran.
-  double measured_overlap_fraction() const {
-    const double window = measured_hidden + measured_blocked;
-    return window > 0 ? measured_hidden / window : 0.0;
-  }
-
   double comm() const { return alltoall + bcast + allreduce + other; }
   double comm_latency() const {
     return alltoall_latency + bcast_latency + allreduce_latency + other_latency;

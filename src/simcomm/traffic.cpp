@@ -206,12 +206,6 @@ FaultCounters TrafficRecorder::fault_counters() const {
   return faults_;
 }
 
-OverlapSample TrafficRecorder::overlap(const std::string& name) const {
-  std::lock_guard lock(mutex_);
-  auto it = overlap_.find(name);
-  return it == overlap_.end() ? OverlapSample{} : it->second;
-}
-
 OverlapSample TrafficRecorder::overlap_total(const std::string& base) const {
   std::lock_guard lock(mutex_);
   OverlapSample acc;
@@ -223,14 +217,6 @@ OverlapSample TrafficRecorder::overlap_total(const std::string& base) const {
     acc.max_blocked = std::max(acc.max_blocked, s.max_blocked);
   }
   return acc;
-}
-
-std::vector<std::string> TrafficRecorder::overlap_names() const {
-  std::lock_guard lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(overlap_.size());
-  for (const auto& [name, s] : overlap_) names.push_back(name);
-  return names;
 }
 
 void TrafficRecorder::set_phase(const std::string& name, PhaseTraffic traffic) {

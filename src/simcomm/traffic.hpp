@@ -145,12 +145,9 @@ class TrafficRecorder {
   void record_straggler(double seconds);
   FaultCounters fault_counters() const;
 
-  /// Measured overlap of one phase (zeroed if never recorded).
-  OverlapSample overlap(const std::string& name) const;
-  /// Sum of all recorded stages of `base` (mirrors phase_total()).
+  /// Measured overlap summed over all recorded stages of `base` (mirrors
+  /// phase_total(); zeroed if never recorded).
   OverlapSample overlap_total(const std::string& base) const;
-  /// Phases with recorded overlap samples.
-  std::vector<std::string> overlap_names() const;
 
   /// Overwrite one phase's counters wholesale (checkpoint restore). The
   /// PhaseTraffic geometry must match this recorder's p.

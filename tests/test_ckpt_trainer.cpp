@@ -10,7 +10,6 @@
 #include <memory>
 #include <sstream>
 
-#include "bench_support/experiment.hpp"
 #include "ckpt/errors.hpp"
 #include "common/parallel.hpp"
 #include "gnn/distributed_trainer.hpp"
@@ -335,15 +334,35 @@ TEST(CkptTrainer, SamePButDifferentPartitionerRestartsTrafficAccounting) {
 }
 
 TEST(CkptTrainer, EpochsOverrideExtendsTheRun) {
+  // A finished 2-epoch distributed run is saved, then resumed with only
+  // epochs(5) set: the checkpoint supplies every other knob, and the
+  // extended run matches an uninterrupted 5-epoch run bitwise.
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  auto first = TrainerBuilder(ds).strategy("serial").gcn(ckpt_config(ds, 2)).build();
+  const auto build = [&](int epochs) {
+    return TrainerBuilder(ds)
+        .strategy("1d-sparse")
+        .ranks(4)
+        .partitioner("gvb")
+        .gcn(ckpt_config(ds, epochs))
+        .build();
+  };
+  auto first = build(2);
   first->train();
   std::stringstream snapshot;
   first->save(snapshot);
 
-  auto resumed = TrainerBuilder(ds).epochs(6).resume(snapshot);
+  auto resumed = TrainerBuilder(ds).epochs(5).resume(snapshot);
   resumed->train();
-  EXPECT_EQ(resumed->result().epochs_completed(), 6);
+  auto reference = build(5);
+  reference->train();
+
+  const std::vector<EpochMetrics>& got = resumed->result().epochs;
+  const std::vector<EpochMetrics>& want = reference->result().epochs;
+  ASSERT_EQ(got.size(), 5u);
+  ASSERT_EQ(want.size(), 5u);
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    EXPECT_EQ(got[e].loss, want[e].loss) << "epoch " << e;
+  }
 }
 
 TEST(CkptTrainer, StrategyMismatchIsTypedErrorNamingBoth) {
@@ -374,40 +393,6 @@ TEST(CkptTrainer, DatasetMismatchIsTypedError) {
   const Dataset protein = make_protein_sim(DatasetScale::kTiny);
   EXPECT_THROW((void)TrainerBuilder(protein).resume(snapshot),
                ckpt::CheckpointMismatchError);
-}
-
-TEST(CkptTrainer, ExperimentSpecCheckpointKnobsRoundTripThroughFiles) {
-  // The bench-runner path: one experiment saves to disk, a second resumes
-  // from it (here with the same geometry) and must match the uninterrupted
-  // trajectory bitwise.
-  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
-  const std::string path = ::testing::TempDir() + "/sagnn_ckpt_spec.bin";
-
-  ExperimentSpec spec;
-  spec.strategy = "1d-sparse";
-  spec.partitioner = "gvb";
-  spec.p = 4;
-  spec.epochs = 2;
-  spec.checkpoint_to = path;
-  const TrainResult first = run_experiment(ds, spec);
-
-  // Resume: the checkpoint's configuration is authoritative (the stale
-  // spec fields must NOT leak in as overrides); only resume_overrides do.
-  ExperimentSpec resume_spec;
-  resume_spec.resume_from = path;
-  resume_spec.resume_overrides.epochs = 5;  // extend on resume
-  const TrainResult resumed = run_experiment(ds, resume_spec);
-  ASSERT_EQ(resumed.epochs_completed(), 5);
-
-  spec.checkpoint_to.clear();
-  spec.epochs = 5;
-  const TrainResult reference = run_experiment(ds, spec);
-  for (int e = 0; e < 5; ++e) {
-    EXPECT_DOUBLE_EQ(resumed.epochs[static_cast<std::size_t>(e)].loss,
-                     reference.epochs[static_cast<std::size_t>(e)].loss)
-        << "epoch " << e;
-  }
-  EXPECT_DOUBLE_EQ(first.epochs[1].loss, reference.epochs[1].loss);
 }
 
 TEST(CkptTrainer, DamagedSnapshotsThrowTypedErrorsAtResume) {

@@ -1,8 +1,9 @@
 // The "1d-overlap" chunked-pipelining strategy and the cost accounting it
 // depends on: identical training math and bytes to "1d-sparse" with K-fold
 // messages, stage-tagged traffic driving TrainResult's three schedule
-// columns, and a strategy-level epoch cost whose `other` bucket excludes
-// the one-time index exchange exactly.
+// columns, a measured overlap ledger that counts every exchange wait, and
+// a strategy-level epoch cost whose `other` bucket excludes the one-time
+// index exchange exactly.
 #include <gtest/gtest.h>
 
 #include "gnn/strategy.hpp"
@@ -99,6 +100,42 @@ TEST(StrategyOverlap, ChunkCountsBeyondFeatureWidthClamp) {
 TEST(StrategyOverlap, RejectsNonPositiveChunkCount) {
   const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
   EXPECT_THROW(run(ds, "1d-overlap", 0, 1), Error);
+}
+
+TEST(StrategyOverlap, MeasuredAlltoallOverlapCountsEveryExchangeWait) {
+  // The measured ledger's seconds are host wall-clock, but the number of
+  // waits it aggregates is fixed by the schedule: every rank waits once
+  // per chunk of each of the 2L - 1 = 5 propagates per epoch of the
+  // 3-layer GCN; bulk-synchronous exchanges count as one chunk, and the
+  // broadcast-based oblivious strategies record none.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const int epochs = 3;
+  const int chunks = 2;
+  const int propagates = 5 * epochs;
+  struct Case {
+    std::string strategy;
+    int p;
+    int c;
+    int waits;
+  };
+  for (const Case& k : {Case{"1d-overlap", 4, 1, 4 * chunks * propagates},
+                        Case{"1.5d-overlap", 8, 2, 8 * chunks * propagates},
+                        Case{"1d-sparse", 4, 1, 4 * propagates},
+                        Case{"1d-oblivious", 4, 1, 0},
+                        Case{"2d-oblivious", 4, 1, 0}}) {
+    auto trainer = TrainerBuilder(ds)
+                       .strategy(k.strategy)
+                       .ranks(k.p, k.c)
+                       .partitioner("gvb")
+                       .pipeline_chunks(chunks)
+                       .gcn(tiny_config(ds, epochs))
+                       .build();
+    trainer->train();
+    const OverlapSample& s = trainer->result().alltoall_overlap;
+    EXPECT_EQ(s.waits, static_cast<std::uint64_t>(k.waits)) << k.strategy;
+    EXPECT_GE(s.fraction(), 0.0) << k.strategy;
+    EXPECT_LE(s.fraction(), 1.0) << k.strategy;
+  }
 }
 
 TEST(StrategyEpochCost, OtherBucketExcludesIndexExchangeExactly) {
