@@ -11,7 +11,7 @@
 //
 // Distributed kills ride the deterministic fault-injection layer
 // (simcomm/fault.hpp): a scheduled KillSpec aborts the world at the kill
-// epoch and DistributedTrainer::train()'s closed recovery loop restores
+// epoch and Trainer::train()'s closed recovery loop restores
 // from the periodic auto-checkpoint — the same code path production jobs
 // take, not a synthetic save/reset reenactment. The serial scenario keeps
 // a manual snapshot/restore (there is no cluster to kill).
@@ -37,8 +37,7 @@
 
 #include "bench_common.hpp"
 #include "common/timer.hpp"
-#include "gnn/distributed_trainer.hpp"
-#include "gnn/serial_trainer.hpp"
+#include "gnn/trainer.hpp"
 #include "simcomm/fault.hpp"
 
 using namespace sagnn;
@@ -117,11 +116,6 @@ bool same_phase_volumes(const TrainResult& a, const TrainResult& b) {
     }
   }
   return true;
-}
-
-const GcnModel& model_of(Trainer& t) {
-  if (auto* dist = dynamic_cast<DistributedTrainer*>(&t)) return dist->model();
-  return dynamic_cast<SerialTrainer&>(t).model();
 }
 
 GcnConfig bench_gcn(const Dataset& ds, int epochs) {
@@ -215,7 +209,7 @@ void run_preemption(const Dataset& ds, const std::string& strategy, int p,
 
   rec.ok = same_trajectory_bitwise(survivor->result().epochs,
                                    reference->result().epochs) &&
-           same_weights(model_of(*survivor), model_of(*reference)) &&
+           same_weights(survivor->model(), reference->model()) &&
            same_phase_volumes(survivor->result(), reference->result());
   if (!rec.ok) {
     std::cerr << "BITWISE RESUME VIOLATION: " << strategy << " on " << ds.name

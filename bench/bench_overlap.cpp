@@ -23,15 +23,19 @@
 // chunk count and can go negative when latency swamps the overlap win.
 //
 // Since the runtime went request-based, every row also carries a MEASURED
-// overlap column: the wall-clock post->wait decomposition the exchanges
-// themselves recorded (TrainResult::alltoall_overlap.fraction(), hidden /
-// (hidden + blocked) seconds). The model counterpart of that fraction is
-// the schedule-only 1 - 1/stages; "gap pp" is measured minus model in
-// percentage points, and the JSON artifact carries all three per record
-// (measured_hidden_pct / model_hidden_pct / gap_pct) so CI can trend the
-// model-vs-measured agreement. Bulk rows keep a near-zero measured
-// fraction — their exchange is waited immediately after posting — which
-// is the built-in control that the measurement reacts to the schedule.
+// overlap column: the wall-clock decomposition the exchanges themselves
+// recorded (TrainResult::alltoall_overlap.fraction(), hidden /
+// (hidden + blocked) seconds). Hidden runs from the end of an exchange's
+// post to the entry of its wait(), blocked is the time parked inside
+// wait(), and the exchange's own sends and copies count as neither. The
+// model counterpart of that fraction is the schedule-only 1 - 1/stages;
+// "gap pp" is measured minus model in percentage points, and the JSON
+// artifact carries all three per record (measured_hidden_pct /
+// model_hidden_pct / gap_pct) so CI can trend the model-vs-measured
+// agreement. Bulk rows keep a near-zero measured fraction — their
+// exchange is waited immediately after posting, so hidden is two
+// back-to-back clock reads, a few percent at most — which is the
+// built-in control that the measurement reacts to the schedule.
 //
 // The two columns agree only where the executed depth matches the
 // modeled depth: the runtime holds ONE exchange in flight (depth-2
@@ -420,7 +424,9 @@ void run_scale_sweep(std::vector<ScaleRecord>& records, bool smoke) {
                "from the bulk baseline row (docs/cost_model.md); it must\n"
                "track the measured 'pipe' within 10% at the crossover.\n"
                "'meas' is the wall-clock hidden share the exchanges\n"
-               "recorded; it stays near zero on bulk rows, matches the\n"
+               "recorded (post end to wait entry; an exchange's own sends\n"
+               "and copies are not hidden); it stays near zero on bulk\n"
+               "rows and K = 1 (a few percent at most), matches the\n"
                "schedule-only 'mdl' = 1 - 1/stages at K = 2 (the executed\n"
                "double-buffered depth), and saturates at the host's\n"
                "straggler bound at deeper K — 'gap pp' tracks exactly that,\n"

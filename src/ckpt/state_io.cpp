@@ -30,34 +30,6 @@ Matrix read_matrix(Deserializer& d) {
   return Matrix(rows, cols, std::move(data));
 }
 
-void write_csr(Serializer& s, const CsrMatrix& m) {
-  s.write_i32(m.n_rows());
-  s.write_i32(m.n_cols());
-  s.write_u64(m.row_ptr().size());
-  for (eid_t v : m.row_ptr()) s.write_i64(v);
-  s.write_u64(m.col_idx().size());
-  for (vid_t v : m.col_idx()) s.write_i32(v);
-  s.write_u64(m.vals().size());
-  for (real_t v : m.vals()) s.write_f32(v);
-}
-
-CsrMatrix read_csr(Deserializer& d) {
-  const vid_t rows = d.read_i32();
-  const vid_t cols = d.read_i32();
-  auto row_ptr = d.read_vector<eid_t>([](Deserializer& x) { return x.read_i64(); });
-  auto col_idx = d.read_vector<vid_t>([](Deserializer& x) { return x.read_i32(); });
-  auto vals = d.read_vector<real_t>([](Deserializer& x) { return x.read_f32(); });
-  try {
-    // The validating constructor rejects any structural corruption the CRC
-    // let through (e.g. a checkpoint written by buggy code).
-    return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
-                     std::move(vals));
-  } catch (const Error& e) {
-    throw CheckpointFormatError("invalid CSR in section '" + d.section_name() +
-                                "': " + e.what());
-  }
-}
-
 void write_rng(Serializer& s, const Rng& rng) {
   for (std::uint64_t v : rng.save_state()) s.write_u64(v);
 }
@@ -239,32 +211,22 @@ TrainConfig read_train_config(Deserializer& d) {
   return cfg;
 }
 
-void write_dataset_fingerprint(Serializer& s, const Dataset& ds) {
-  s.write_string(ds.name);
-  s.write_i32(ds.n_vertices());
-  s.write_i32(ds.n_features());
-  s.write_i32(ds.n_classes);
-  s.write_i64(ds.n_edges());
-}
-
-void check_dataset_fingerprint(Deserializer& d, const Dataset& ds) {
-  const std::string name = d.read_string();
-  const vid_t n = d.read_i32();
-  const vid_t f = d.read_i32();
-  const vid_t classes = d.read_i32();
-  const eid_t nnz = d.read_i64();
-  if (name != ds.name || n != ds.n_vertices() || f != ds.n_features() ||
-      classes != ds.n_classes || nnz != ds.n_edges()) {
-    throw CheckpointMismatchError(
-        "section '" + d.section_name() + "': checkpoint was taken on dataset '" +
-        name + "' (n=" + std::to_string(n) + ", f=" + std::to_string(f) +
-        ", classes=" + std::to_string(classes) + ", nnz=" + std::to_string(nnz) +
-        "), restore targets '" + ds.name + "' (n=" +
-        std::to_string(ds.n_vertices()) + ", f=" +
-        std::to_string(ds.n_features()) + ", classes=" +
-        std::to_string(ds.n_classes) + ", nnz=" + std::to_string(ds.n_edges()) +
-        ")");
+void DatasetFingerprint::require_matches(const Dataset& ds,
+                                        bool allow_edge_drift) const {
+  const bool nnz_ok = allow_edge_drift || nnz == ds.n_edges();
+  if (name == ds.name && n == ds.n_vertices() && f == ds.n_features() &&
+      classes == ds.n_classes && nnz_ok) {
+    return;
   }
+  throw CheckpointMismatchError(
+      "checkpoint was taken on dataset '" + name + "' (n=" +
+      std::to_string(n) + ", f=" + std::to_string(f) +
+      ", classes=" + std::to_string(classes) + ", nnz=" + std::to_string(nnz) +
+      "), this run targets '" + ds.name + "' (n=" +
+      std::to_string(ds.n_vertices()) + ", f=" +
+      std::to_string(ds.n_features()) + ", classes=" +
+      std::to_string(ds.n_classes) + ", nnz=" + std::to_string(ds.n_edges()) +
+      (allow_edge_drift ? ", edge drift allowed" : "") + ")");
 }
 
 void write_prologue(Serializer& s, const TrainConfig& cfg, const Dataset& ds) {
@@ -272,8 +234,28 @@ void write_prologue(Serializer& s, const TrainConfig& cfg, const Dataset& ds) {
   write_train_config(s, cfg);
   s.end_section();
   s.begin_section("dataset");
-  write_dataset_fingerprint(s, ds);
+  s.write_string(ds.name);
+  s.write_i32(ds.n_vertices());
+  s.write_i32(ds.n_features());
+  s.write_i32(ds.n_classes);
+  s.write_i64(ds.n_edges());
   s.end_section();
+}
+
+Prologue read_prologue(Deserializer& d) {
+  Prologue prologue;
+  d.enter_section("config");
+  prologue.config = read_train_config(d);
+  d.leave_section();
+  d.enter_section("dataset");
+  DatasetFingerprint& fp = prologue.dataset;
+  fp.name = d.read_string();
+  fp.n = d.read_i32();
+  fp.f = d.read_i32();
+  fp.classes = d.read_i32();
+  fp.nnz = d.read_i64();
+  d.leave_section();
+  return prologue;
 }
 
 void write_progress(Serializer& s, int epoch,

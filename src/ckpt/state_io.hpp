@@ -1,18 +1,18 @@
 #pragma once
-// Serialization visitors for the library's stateful types: dense/sparse
+// Serialization visitors for the library's stateful types: dense
 // matrices, the Xoshiro RNG, the GCN model, epoch-metric trajectories,
 // recorded traffic, and the full TrainConfig record. These
 // are the building blocks Trainer::save()/TrainerBuilder::resume() are
 // assembled from; each function is the exact inverse of its partner, down
 // to the bit pattern of every float.
 //
-// Readers validate as they go: CsrMatrix goes through the invariant-
-// checking constructor, model weights are shape-checked against the
+// Readers validate as they go: model weights are shape-checked against the
 // already-constructed model, and every structural surprise throws a typed
 // ckpt error naming the offending section — malformed input can reject,
 // never corrupt.
 
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "ckpt/serializer.hpp"
@@ -20,7 +20,6 @@
 #include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "simcomm/traffic.hpp"
-#include "sparse/csr.hpp"
 
 namespace sagnn::ckpt {
 
@@ -28,11 +27,6 @@ namespace sagnn::ckpt {
 
 void write_matrix(Serializer& s, const Matrix& m);
 Matrix read_matrix(Deserializer& d);
-
-void write_csr(Serializer& s, const CsrMatrix& m);
-/// Reconstructs through the validating constructor; structural violations
-/// surface as CheckpointFormatError naming the current section.
-CsrMatrix read_csr(Deserializer& d);
 
 void write_rng(Serializer& s, const Rng& rng);
 Rng read_rng(Deserializer& d);
@@ -52,15 +46,33 @@ TrafficRecorder read_traffic(Deserializer& d);
 void write_train_config(Serializer& s, const TrainConfig& cfg);
 TrainConfig read_train_config(Deserializer& d);
 
-void write_dataset_fingerprint(Serializer& s, const Dataset& ds);
-/// Throws CheckpointMismatchError if `ds` is not the dataset the
-/// checkpoint was taken on (name or shape differs).
-void check_dataset_fingerprint(Deserializer& d, const Dataset& ds);
+/// The "dataset" section: identity of the graph a checkpoint was taken on.
+struct DatasetFingerprint {
+  std::string name;
+  vid_t n = 0;
+  vid_t f = 0;
+  vid_t classes = 0;
+  eid_t nnz = 0;
 
-/// The common checkpoint prologue every trainer writes — the "config" and
-/// "dataset" sections TrainerBuilder::resume() consumes before handing the
-/// stream to the trainer's own restore().
+  /// Throw CheckpointMismatchError unless `ds` is this dataset.
+  /// `allow_edge_drift` relaxes only the edge count — the knob for serving
+  /// graphs that have absorbed streaming updates since training; name,
+  /// vertex count, feature width, and class count must always match (the
+  /// model's shapes depend on them).
+  void require_matches(const Dataset& ds, bool allow_edge_drift = false) const;
+};
+
+/// The common checkpoint prologue every trainer writes.
+struct Prologue {
+  TrainConfig config;          ///< the "config" section
+  DatasetFingerprint dataset;  ///< the "dataset" section
+};
+
+/// Write the "config" and "dataset" sections.
 void write_prologue(Serializer& s, const TrainConfig& cfg, const Dataset& ds);
+/// Read them back — the one reader TrainerBuilder::resume(), kill recovery
+/// and serve::ModelLoader share before the mode-specific sections.
+Prologue read_prologue(Deserializer& d);
 
 /// "progress" section body: completed-epoch count + metric trajectory.
 void write_progress(Serializer& s, int epoch,

@@ -25,34 +25,33 @@ struct DistributedTrainer::RankState {
 };
 
 DistributedTrainer::DistributedTrainer(const Dataset& dataset, TrainConfig config)
-    : config_(std::move(config)), dataset_(&dataset) {
+    : Trainer(dataset, std::move(config)) {
   initialize();
 }
 
 void DistributedTrainer::initialize() {
-  const Dataset& dataset = *dataset_;
   SAGNN_REQUIRE(config_.p >= 1, "need at least one rank");
   job_strategy_ = strategy_registry().create(config_.strategy);
   const int n_blocks = job_strategy_->n_blocks(config_.p, config_.c);
-  SAGNN_REQUIRE(config_.gcn.dims.front() == dataset.n_features() &&
-                    config_.gcn.dims.back() == dataset.n_classes,
+  SAGNN_REQUIRE(config_.gcn.dims.front() == dataset_.n_features() &&
+                    config_.gcn.dims.back() == dataset_.n_classes,
                 "GCN dims must match the dataset");
 
   // ---- Partition & permute (one-time preprocessing, paper §6.3.1). ----
   WallTimer part_timer;
   const auto partitioner =
       make_partitioner(config_.partitioner, config_.partitioner_options);
-  const Partition partition = partitioner->partition(dataset.adjacency, n_blocks);
+  const Partition partition = partitioner->partition(dataset_.adjacency, n_blocks);
   result_.partition_wall_seconds = part_timer.seconds();
-  result_.volume_model = compute_volume_stats(dataset.adjacency, partition);
+  result_.volume_model = compute_volume_stats(dataset_.adjacency, partition);
 
   const auto perm = partition.relabel_permutation();
-  a_ = permute_symmetric(dataset.adjacency, perm);
-  h0_ = permute_rows(dataset.features, perm);
-  labels_ = permute_labels(dataset.labels, perm);
-  mask_.assign(dataset.train_mask.size(), 0);
+  a_ = permute_symmetric(dataset_.adjacency, perm);
+  h0_ = permute_rows(dataset_.features, perm);
+  labels_ = permute_labels(dataset_.labels, perm);
+  mask_.assign(dataset_.train_mask.size(), 0);
   for (std::size_t v = 0; v < mask_.size(); ++v) {
-    mask_[static_cast<std::size_t>(perm[v])] = dataset.train_mask[v];
+    mask_[static_cast<std::size_t>(perm[v])] = dataset_.train_mask[v];
   }
   ranges_ = ranges_from_sizes(partition.part_sizes());
   original_id_ = invert_permutation(perm);
@@ -96,7 +95,7 @@ std::string DistributedTrainer::name() const {
 }
 
 EpochMetrics DistributedTrainer::run_epoch() {
-  const int e = epoch_;
+  const int e = epochs_run();
   EpochMetrics metrics;
   // Arm scheduled kills for this epoch (single-threaded: no rank is inside
   // the world between cluster rounds). Setup traffic above ran kill-free.
@@ -167,7 +166,6 @@ EpochMetrics DistributedTrainer::run_epoch() {
     *cpu += t.seconds();
   });
   epochs_.push_back(metrics);
-  ++epoch_;
   return metrics;
 }
 
@@ -175,22 +173,24 @@ const GcnModel& DistributedTrainer::model() const {
   return states_.front()->model;
 }
 
+GcnModel& DistributedTrainer::restored_model() {
+  return states_.front()->model;
+}
+
 void DistributedTrainer::save(std::ostream& out) {
   // The weights are replicated by construction (same init seed, identical
   // all-reduced gradients); verify before writing one copy, so a snapshot
   // can never launder a replication bug into a "successful" restore.
-  const GcnModel& reference = states_.front()->model;
+  const GcnModel& reference = model();
   for (const auto& st : states_) {
     for (int l = 0; l < reference.n_layers(); ++l) {
       SAGNN_CHECK(st->model.layer(l).weights() == reference.layer(l).weights());
     }
   }
-  ckpt::Serializer s(out);
-  ckpt::write_prologue(s, config_, *dataset_);
-  ckpt::write_progress(s, epoch_, epochs_);
-  s.begin_section("model");
-  ckpt::write_model(s, reference);
-  s.end_section();
+  Trainer::save(out);
+}
+
+void DistributedTrainer::save_sections(ckpt::Serializer& s) {
   s.begin_section("traffic");
   ckpt::write_traffic(s, cluster_->traffic());
   s.end_section();
@@ -204,19 +204,14 @@ void DistributedTrainer::save(std::ostream& out) {
   s.begin_section("traffic_base");
   s.write_i32(traffic_epoch_base_);
   s.end_section();
-  s.finish();
 }
 
-void DistributedTrainer::restore(ckpt::Deserializer& d,
-                                 const TrainConfig& saved) {
-  epoch_ = ckpt::read_progress(d, epochs_);
-
-  // Load the replicated weights into every rank's model. The constructor
-  // already partitioned the (possibly new) geometry and ran setup, so this
-  // is pure state injection — no cluster round needed.
-  d.enter_section("model");
-  ckpt::read_model_into(d, states_.front()->model);
-  d.leave_section();
+void DistributedTrainer::restore_sections(ckpt::Deserializer& d,
+                                          const TrainConfig& saved) {
+  // restore() loaded the replicated weights into rank 0's model; copy them
+  // to every other rank. The constructor already partitioned the (possibly
+  // new) geometry and ran setup, so this is pure state injection — no
+  // cluster round needed.
   for (std::size_t r = 1; r < states_.size(); ++r) {
     states_[r]->model = states_.front()->model;
   }
@@ -243,10 +238,10 @@ void DistributedTrainer::restore(ckpt::Deserializer& d,
   d.enter_section("traffic_base");
   const int saved_traffic_base = d.read_i32();
   d.leave_section();
-  if (saved_traffic_base < 0 || saved_traffic_base > epoch_) {
+  if (saved_traffic_base < 0 || saved_traffic_base > epochs_run()) {
     throw ckpt::CheckpointFormatError(
         "section 'traffic_base': base " + std::to_string(saved_traffic_base) +
-        " outside [0, " + std::to_string(epoch_) + "]");
+        " outside [0, " + std::to_string(epochs_run()) + "]");
   }
 
   // "Same geometry" means the full communication-relevant configuration,
@@ -272,24 +267,9 @@ void DistributedTrainer::restore(ckpt::Deserializer& d,
     // meaningless under the new layout. Keep the fresh recorder (it
     // already holds the new index exchange) and restart per-epoch
     // accounting here.
-    traffic_epoch_base_ = epoch_;
+    traffic_epoch_base_ = epochs_run();
   }
   finalized_epochs_ = -1;
-}
-
-const std::vector<EpochMetrics>& DistributedTrainer::train() {
-  while (epoch_ < config_.gcn.epochs) {
-    try {
-      run_epoch();
-    } catch (const RankKilledError& kill) {
-      if (config_.fault_recovery != FaultRecovery::kCheckpointRestart) throw;
-      recover_from_kill(kill);
-      continue;
-    }
-    maybe_auto_checkpoint(epoch_);
-  }
-  finalize();
-  return epochs_;
 }
 
 void DistributedTrainer::recover_from_kill(const RankKilledError& kill) {
@@ -299,7 +279,7 @@ void DistributedTrainer::recover_from_kill(const RankKilledError& kill) {
   // counters first (the snapshot we restore holds none — they are
   // runtime-only).
   faults_before_recovery_ += cluster_->traffic().fault_counters();
-  const int epochs_done_before = epoch_;
+  const int epochs_done_before = epochs_run();
 
   if (kill.permanent()) {
     SAGNN_REQUIRE(config_.p > 1,
@@ -322,26 +302,21 @@ void DistributedTrainer::recover_from_kill(const RankKilledError& kill) {
     // TrainerBuilder::resume() flow. The auto-checkpoint's tmp+rename
     // atomicity guarantees this file is never a torn write.
     ckpt::Deserializer d(snapshot);
-    d.enter_section("config");
-    const TrainConfig saved = ckpt::read_train_config(d);
-    d.leave_section();
-    d.enter_section("dataset");
-    ckpt::check_dataset_fingerprint(d, *dataset_);
-    d.leave_section();
-    restore(d, saved);
+    const ckpt::Prologue prologue = ckpt::read_prologue(d);
+    prologue.dataset.require_matches(dataset_);
+    restore(d, prologue.config);
     d.finish();
     ++recovery_.restores;
   } else {
     // Killed before the first auto-checkpoint (or none armed): cold
     // restart — replay the whole run from epoch 0. Deterministic kernels
     // and one-shot kills make the replayed trajectory identical.
-    epoch_ = 0;
     epochs_.clear();
     traffic_epoch_base_ = 0;
     finalized_epochs_ = -1;
     ++recovery_.cold_restarts;
   }
-  recovery_.replayed_epochs += epochs_done_before - epoch_;
+  recovery_.replayed_epochs += epochs_done_before - epochs_run();
   recovery_.recovery_seconds += timer.seconds();
 }
 
@@ -351,17 +326,17 @@ const TrainResult& DistributedTrainer::result() {
 }
 
 void DistributedTrainer::finalize() {
-  if (finalized_epochs_ == epoch_) return;
-  finalized_epochs_ = epoch_;
+  if (finalized_epochs_ == epochs_run()) return;
+  finalized_epochs_ = epochs_run();
   // Every per-epoch average below divides by the COMPLETED epoch count
   // (== result_.epochs.size()), so a run stopped early via run_epoch()
   // stepping reports consistently. After an elastic restore the recorder
   // only holds post-restart traffic, so averages divide by the epochs it
-  // actually covers (epoch_ - traffic_epoch_base_).
+  // actually covers (epochs_run() - traffic_epoch_base_).
   result_.epochs = epochs_;
 
   const TrafficRecorder traffic = cluster_->traffic();  // snapshot
-  const int traffic_epochs = std::max(1, epoch_ - traffic_epoch_base_);
+  const int traffic_epochs = std::max(1, epochs_run() - traffic_epoch_base_);
   const double inv_epochs = 1.0 / traffic_epochs;
 
   // Per-epoch traffic: everything except setup and barriers, averaged.

@@ -28,17 +28,7 @@ class DistributedTrainer final : public Trainer {
   ~DistributedTrainer() override;
 
   std::string name() const override;
-  int epochs_run() const override { return epoch_; }
   EpochMetrics run_epoch() override;
-
-  /// All remaining epochs. With a fault plan installed and
-  /// FaultRecovery::kCheckpointRestart, this is the closed recovery loop:
-  /// an injected rank kill aborts the epoch, the trainer restores from the
-  /// last auto-checkpoint (elastically on p-1 ranks when the kill is
-  /// permanent; cold-restarts from epoch 0 when no snapshot exists yet)
-  /// and keeps training. Under FaultRecovery::kNone the typed
-  /// RankKilledError propagates to the caller.
-  const std::vector<EpochMetrics>& train() override;
   const TrainResult& result() override;
 
   /// Snapshot the job: one copy of the (replicated, verified-identical)
@@ -51,10 +41,19 @@ class DistributedTrainer final : public Trainer {
 
   const TrainConfig& config() const { return config_; }
   /// The replicated model (every rank holds a bitwise-identical copy).
-  const GcnModel& model() const;
+  const GcnModel& model() const override;
 
  protected:
-  void restore(ckpt::Deserializer& d, const TrainConfig& saved) override;
+  GcnModel& restored_model() override;
+  /// "traffic", "rank_cpu" and "traffic_base".
+  void save_sections(ckpt::Serializer& s) override;
+  /// Copies the restored weights to every rank, then reads the traffic
+  /// history — adopted only on the same communication geometry.
+  void restore_sections(ckpt::Deserializer& d, const TrainConfig& saved) override;
+  /// Restore from the last auto-checkpoint (elastically on p-1 ranks when
+  /// the kill is permanent; cold-restart from epoch 0 when no snapshot
+  /// exists yet) and keep training.
+  void recover_from_kill(const RankKilledError& kill) override;
 
  private:
   struct RankState;
@@ -68,12 +67,7 @@ class DistributedTrainer final : public Trainer {
   /// partial epoch state are garbage after a kill — everything is rebuilt,
   /// then checkpoint state is injected via restore()).
   void initialize();
-  /// Closed-loop recovery from one injected rank kill (see train()).
-  void recover_from_kill(const RankKilledError& kill);
   void finalize();
-
-  TrainConfig config_;
-  const Dataset* dataset_;  ///< checkpoint fingerprint + elastic re-partition
 
   // The permuted problem (block rows contiguous per part).
   CsrMatrix a_;
@@ -89,9 +83,6 @@ class DistributedTrainer final : public Trainer {
   std::vector<std::unique_ptr<RankState>> states_;
   std::vector<double> rank_cpu_seconds_;  ///< accumulated across epochs
 
-  std::vector<EpochMetrics> epochs_;
-  TrainResult result_;
-  int epoch_ = 0;
   /// Epochs whose traffic is NOT in this process's recorder: 0 normally
   /// and after a same-p restore (the snapshot carries the full history);
   /// the resume epoch after an ELASTIC restore, where the old geometry's

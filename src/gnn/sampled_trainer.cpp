@@ -9,21 +9,35 @@
 
 namespace sagnn {
 
+namespace {
+
+/// The record a sampled checkpoint carries: the GCN and sampling configs,
+/// every other field at its default.
+TrainConfig sampled_record(GcnConfig gcn, SamplingConfig sampling) {
+  TrainConfig cfg;
+  cfg.gcn = std::move(gcn);
+  cfg.strategy = "sampled";
+  cfg.sampling = std::move(sampling);
+  return cfg;
+}
+
+}  // namespace
+
 SampledTrainer::SampledTrainer(const Dataset& dataset, GcnConfig config,
                                SamplingConfig sampling)
-    : dataset_(dataset),
-      config_(std::move(config)),
-      sampling_(std::move(sampling)),
-      model_(config_),
-      rng_(sampling_.seed) {
-  SAGNN_REQUIRE(config_.dims.front() == dataset.n_features(),
+    : Trainer(dataset, sampled_record(std::move(config), std::move(sampling))),
+      model_(config_.gcn),
+      rng_(config_.sampling.seed) {
+  const GcnConfig& gcn = config_.gcn;
+  const SamplingConfig& sampling_cfg = config_.sampling;
+  SAGNN_REQUIRE(gcn.dims.front() == dataset.n_features(),
                 "config input width must match dataset features");
-  SAGNN_REQUIRE(config_.dims.back() == dataset.n_classes,
+  SAGNN_REQUIRE(gcn.dims.back() == dataset.n_classes,
                 "config output width must match dataset classes");
-  SAGNN_REQUIRE(static_cast<int>(sampling_.fanouts.size()) == config_.n_layers(),
+  SAGNN_REQUIRE(static_cast<int>(sampling_cfg.fanouts.size()) == gcn.n_layers(),
                 "need one fanout per GCN layer");
-  SAGNN_REQUIRE(sampling_.batch_size > 0, "batch size must be positive");
-  for (vid_t f : sampling_.fanouts) {
+  SAGNN_REQUIRE(sampling_cfg.batch_size > 0, "batch size must be positive");
+  for (vid_t f : sampling_cfg.fanouts) {
     SAGNN_REQUIRE(f > 0, "fanouts must be positive");
   }
   for (vid_t v = 0; v < dataset.n_vertices(); ++v) {
@@ -36,14 +50,14 @@ SampledTrainer::SampledTrainer(const Dataset& dataset, GcnConfig config,
 
 std::vector<SampledTrainer::SampledLayer> SampledTrainer::sample_batch(
     const std::vector<vid_t>& batch) {
-  const int layers = config_.n_layers();
+  const int layers = config_.gcn.n_layers();
   std::vector<SampledLayer> out(static_cast<std::size_t>(layers));
 
   // Walk from the output layer inwards: the targets of layer l are the
   // sources of layer l+1; the innermost sources index the feature matrix.
   std::vector<vid_t> targets = batch;
   for (int l = layers - 1; l >= 0; --l) {
-    const vid_t fanout = sampling_.fanouts[static_cast<std::size_t>(l)];
+    const vid_t fanout = config_.sampling.fanouts[static_cast<std::size_t>(l)];
 
     // Sample up to `fanout` neighbors per target (plus the target itself —
     // Â has self-loops, and keeping them preserves the skip connection).
@@ -94,6 +108,8 @@ std::vector<SampledTrainer::SampledLayer> SampledTrainer::sample_batch(
 }
 
 SampledEpochMetrics SampledTrainer::run_epoch_detailed() {
+  const GcnConfig& gcn = config_.gcn;
+  const auto batch_size = static_cast<std::size_t>(config_.sampling.batch_size);
   SampledEpochMetrics metrics;
   // Shuffled pass over the training vertices.
   std::vector<vid_t> order = train_vertices_;
@@ -104,10 +120,8 @@ SampledEpochMetrics SampledTrainer::run_epoch_detailed() {
 
   double loss_sum = 0;
   std::int64_t correct = 0, count = 0;
-  for (std::size_t begin = 0; begin < order.size();
-       begin += static_cast<std::size_t>(sampling_.batch_size)) {
-    const std::size_t end =
-        std::min(order.size(), begin + static_cast<std::size_t>(sampling_.batch_size));
+  for (std::size_t begin = 0; begin < order.size(); begin += batch_size) {
+    const std::size_t end = std::min(order.size(), begin + batch_size);
     const std::vector<vid_t> batch(order.begin() + static_cast<std::ptrdiff_t>(begin),
                                    order.begin() + static_cast<std::ptrdiff_t>(end));
     auto layers = sample_batch(batch);
@@ -115,7 +129,7 @@ SampledEpochMetrics SampledTrainer::run_epoch_detailed() {
 
     // Forward through the sampled computation graph.
     Matrix h = dataset_.features.gather_rows(layers.front().sources);
-    for (int l = 0; l < config_.n_layers(); ++l) {
+    for (int l = 0; l < gcn.n_layers(); ++l) {
       Matrix m = spmm(layers[static_cast<std::size_t>(l)].block, h);
       h = model_.layer(l).forward(std::move(m));
     }
@@ -134,8 +148,8 @@ SampledEpochMetrics SampledTrainer::run_epoch_detailed() {
 
     // Backward + SGD step (per mini-batch, as mini-batch training does).
     Matrix d_h = softmax_xent_grad(h, labels, ones, stats.count);
-    std::vector<Matrix> d_weights(static_cast<std::size_t>(config_.n_layers()));
-    for (int l = config_.n_layers() - 1; l >= 0; --l) {
+    std::vector<Matrix> d_weights(static_cast<std::size_t>(gcn.n_layers()));
+    for (int l = gcn.n_layers() - 1; l >= 0; --l) {
       auto back = model_.layer(l).backward(d_h);
       d_weights[static_cast<std::size_t>(l)] = std::move(back.d_weights);
       if (l > 0) {
@@ -143,55 +157,29 @@ SampledEpochMetrics SampledTrainer::run_epoch_detailed() {
                    back.d_m);
       }
     }
-    for (int l = 0; l < config_.n_layers(); ++l) {
+    for (int l = 0; l < gcn.n_layers(); ++l) {
       model_.layer(l).apply_gradient(d_weights[static_cast<std::size_t>(l)],
-                                     config_.learning_rate);
+                                     gcn.learning_rate);
     }
   }
   metrics.loss = count > 0 ? loss_sum / count : 0.0;
   metrics.train_accuracy = count > 0 ? static_cast<double>(correct) / count : 0.0;
   detailed_.push_back(metrics);
-  metrics_.push_back({metrics.loss, metrics.train_accuracy});
+  epochs_.push_back({metrics.loss, metrics.train_accuracy});
   return metrics;
 }
 
 EpochMetrics SampledTrainer::run_epoch() {
   (void)run_epoch_detailed();
-  return metrics_.back();
-}
-
-const std::vector<EpochMetrics>& SampledTrainer::train() {
-  while (epochs_run() < config_.epochs) {
-    (void)run_epoch_detailed();
-    maybe_auto_checkpoint(epochs_run());
-  }
-  return metrics_;
-}
-
-const TrainResult& SampledTrainer::result() {
-  result_.epochs = metrics_;
-  return result_;
+  return epochs_.back();
 }
 
 const std::vector<SampledEpochMetrics>& SampledTrainer::train_detailed() {
-  while (epochs_run() < config_.epochs) {
-    (void)run_epoch_detailed();
-    maybe_auto_checkpoint(epochs_run());
-  }
+  (void)train();
   return detailed_;
 }
 
-void SampledTrainer::save(std::ostream& out) {
-  ckpt::Serializer s(out);
-  TrainConfig cfg;
-  cfg.gcn = config_;
-  cfg.strategy = "sampled";
-  cfg.sampling = sampling_;
-  ckpt::write_prologue(s, cfg, dataset_);
-  ckpt::write_progress(s, epochs_run(), metrics_);
-  s.begin_section("model");
-  ckpt::write_model(s, model_);
-  s.end_section();
+void SampledTrainer::save_sections(ckpt::Serializer& s) {
   s.begin_section("rng");
   ckpt::write_rng(s, rng_);
   s.end_section();
@@ -204,14 +192,10 @@ void SampledTrainer::save(std::ostream& out) {
     s.write_i64(m.batches);
   }
   s.end_section();
-  s.finish();
 }
 
-void SampledTrainer::restore(ckpt::Deserializer& d, const TrainConfig& /*saved*/) {
-  const int epoch = ckpt::read_progress(d, metrics_);
-  d.enter_section("model");
-  ckpt::read_model_into(d, model_);
-  d.leave_section();
+void SampledTrainer::restore_sections(ckpt::Deserializer& d,
+                                      const TrainConfig& /*saved*/) {
   d.enter_section("rng");
   rng_ = ckpt::read_rng(d);
   d.leave_section();
@@ -226,11 +210,11 @@ void SampledTrainer::restore(ckpt::Deserializer& d, const TrainConfig& /*saved*/
         return m;
       });
   d.leave_section();
-  if (detailed_.size() != static_cast<std::size_t>(epoch)) {
+  if (detailed_.size() != epochs_.size()) {
     throw ckpt::CheckpointFormatError(
         "section 'sampled_metrics': detailed trajectory length " +
         std::to_string(detailed_.size()) + " disagrees with epoch count " +
-        std::to_string(epoch));
+        std::to_string(epochs_run()));
   }
 }
 

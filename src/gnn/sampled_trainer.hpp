@@ -39,34 +39,29 @@ class SampledTrainer final : public Trainer {
   SampledTrainer(const Dataset& dataset, GcnConfig config, SamplingConfig sampling);
 
   std::string name() const override { return "sampled"; }
-  int epochs_run() const override {
-    return static_cast<int>(detailed_.size());
-  }
 
   /// One epoch = one pass over all training vertices in shuffled
   /// mini-batches, with an SGD step per batch.
   EpochMetrics run_epoch() override;
-  const std::vector<EpochMetrics>& train() override;
-  const TrainResult& result() override;
-
-  /// Snapshot model weights, the mini-batch RNG stream, and both metric
-  /// trajectories (common + sampling counters). Resume continues the
-  /// shuffles and neighbor draws bit-identically.
-  void save(std::ostream& out) override;
 
   /// Same epoch step, returning the sampling-specific counters.
   SampledEpochMetrics run_epoch_detailed();
-  /// Remaining epochs with detailed metrics for every epoch run so far.
+  /// train(), then the detailed metrics of every epoch run so far.
   const std::vector<SampledEpochMetrics>& train_detailed();
 
   /// Full-graph (non-sampled) evaluation of the current weights; lets the
   /// accuracy comparison against full-batch training be apples-to-apples.
   LossStats evaluate() const;
 
-  const GcnModel& model() const { return model_; }
+  const GcnModel& model() const override { return model_; }
 
  protected:
-  void restore(ckpt::Deserializer& d, const TrainConfig& saved) override;
+  GcnModel& restored_model() override { return model_; }
+  /// "rng" (the mini-batch RNG stream) and "sampled_metrics" (the
+  /// sampling counters): resume continues the shuffles and neighbor draws
+  /// bit-identically.
+  void save_sections(ckpt::Serializer& s) override;
+  void restore_sections(ckpt::Deserializer& d, const TrainConfig& saved) override;
 
  private:
   /// One layer of the sampled computation graph: a block matrix mapping
@@ -80,15 +75,10 @@ class SampledTrainer final : public Trainer {
   /// Returns layers outermost-first along with the innermost source list.
   std::vector<SampledLayer> sample_batch(const std::vector<vid_t>& batch);
 
-  const Dataset& dataset_;
-  GcnConfig config_;
-  SamplingConfig sampling_;
   GcnModel model_;
   Rng rng_;
   std::vector<vid_t> train_vertices_;
   std::vector<SampledEpochMetrics> detailed_;
-  std::vector<EpochMetrics> metrics_;
-  TrainResult result_;
 };
 
 }  // namespace sagnn

@@ -17,34 +17,20 @@ class SerialTrainer final : public Trainer {
   SerialTrainer(const Dataset& dataset, GcnConfig config);
 
   std::string name() const override { return "serial"; }
-  int epochs_run() const override { return epoch_; }
 
   /// One full-batch epoch: forward, loss, backward, SGD step.
   EpochMetrics run_epoch() override;
 
-  /// Run the remaining configured epochs; returns the full trajectory.
-  const std::vector<EpochMetrics>& train() override;
-
-  const TrainResult& result() override;
-
-  /// Snapshot epoch count, metric trajectory, and model weights.
-  void save(std::ostream& out) override;
-
   /// Forward pass only; returns the logits (used by tests/examples).
   Matrix forward();
 
-  const GcnModel& model() const { return model_; }
+  const GcnModel& model() const override { return model_; }
 
  protected:
-  void restore(ckpt::Deserializer& d, const TrainConfig& saved) override;
+  GcnModel& restored_model() override { return model_; }
 
  private:
-  const Dataset& dataset_;
-  GcnConfig config_;
   GcnModel model_;
-  int epoch_ = 0;  ///< epochs completed; drives the per-epoch dropout seed
-  std::vector<EpochMetrics> metrics_;
-  TrainResult result_;
 };
 
 }  // namespace sagnn

@@ -15,6 +15,47 @@
 
 namespace sagnn {
 
+Trainer::Trainer(const Dataset& dataset, TrainConfig config)
+    : dataset_(dataset), config_(std::move(config)) {}
+
+const std::vector<EpochMetrics>& Trainer::train() {
+  while (epochs_run() < config_.gcn.epochs) {
+    try {
+      run_epoch();
+    } catch (const RankKilledError& kill) {
+      if (config_.fault_recovery != FaultRecovery::kCheckpointRestart) throw;
+      recover_from_kill(kill);
+      continue;
+    }
+    maybe_auto_checkpoint();
+  }
+  return epochs_;
+}
+
+const TrainResult& Trainer::result() {
+  result_.epochs = epochs_;
+  return result_;
+}
+
+void Trainer::save(std::ostream& out) {
+  ckpt::Serializer s(out);
+  ckpt::write_prologue(s, config_, dataset_);
+  ckpt::write_progress(s, epochs_run(), epochs_);
+  s.begin_section("model");
+  ckpt::write_model(s, model());
+  s.end_section();
+  save_sections(s);
+  s.finish();
+}
+
+void Trainer::restore(ckpt::Deserializer& d, const TrainConfig& saved) {
+  (void)ckpt::read_progress(d, epochs_);
+  d.enter_section("model");
+  ckpt::read_model_into(d, restored_model());
+  d.leave_section();
+  restore_sections(d, saved);
+}
+
 void Trainer::arm_auto_checkpoint(std::string path, int every_epochs) {
   SAGNN_REQUIRE(every_epochs >= 0, "auto_checkpoint_every must be >= 0");
   SAGNN_REQUIRE(every_epochs == 0 || !path.empty(),
@@ -24,7 +65,8 @@ void Trainer::arm_auto_checkpoint(std::string path, int every_epochs) {
   auto_checkpoint_every_ = every_epochs;
 }
 
-void Trainer::maybe_auto_checkpoint(int epochs_completed) {
+void Trainer::maybe_auto_checkpoint() {
+  const int epochs_completed = epochs_run();
   if (auto_checkpoint_every_ <= 0 || epochs_completed == 0 ||
       epochs_completed % auto_checkpoint_every_ != 0) {
     return;
@@ -136,13 +178,10 @@ std::unique_ptr<Trainer> TrainerBuilder::build() const {
 
 std::unique_ptr<Trainer> TrainerBuilder::resume(std::istream& in) const {
   ckpt::Deserializer d(in);
-  d.enter_section("config");
-  TrainConfig cfg = ckpt::read_train_config(d);
-  d.leave_section();
-  d.enter_section("dataset");
-  ckpt::check_dataset_fingerprint(d, *dataset_);
-  d.leave_section();
-  const TrainConfig saved = cfg;  // pre-override snapshot for restore()
+  const ckpt::Prologue prologue = ckpt::read_prologue(d);
+  prologue.dataset.require_matches(*dataset_);
+  const TrainConfig& saved = prologue.config;  // pre-override, for restore()
+  TrainConfig cfg = saved;
 
   // The checkpoint's configuration is authoritative; only knobs the caller
   // explicitly set on this builder override it (elastic restart et al.).

@@ -44,9 +44,8 @@ namespace sagnn {
 
 namespace ckpt {
 class Deserializer;
+class Serializer;
 }  // namespace ckpt
-
-struct TrainConfig;
 
 /// Global per-epoch training metrics (identical across ranks).
 struct EpochMetrics {
@@ -156,78 +155,6 @@ struct TrainResult {
   RecoveryStats recovery;
 };
 
-/// Common trainer interface. Epoch-at-a-time stepping and whole-run
-/// training compose: train() always runs the epochs not yet executed.
-class Trainer {
- public:
-  virtual ~Trainer() = default;
-
-  /// Human-readable description of the configuration.
-  virtual std::string name() const = 0;
-
-  /// Epochs executed so far.
-  virtual int epochs_run() const = 0;
-
-  /// Execute one epoch and return its global metrics.
-  virtual EpochMetrics run_epoch() = 0;
-
-  /// Execute all remaining configured epochs; returns the full trajectory.
-  virtual const std::vector<EpochMetrics>& train() = 0;
-
-  /// Aggregate result for the epochs executed so far.
-  virtual const TrainResult& result() = 0;
-
-  /// Snapshot the complete training state (configuration, model weights,
-  /// RNG/optimizer state, metric trajectory, recorded traffic) to the
-  /// versioned binary checkpoint format (src/ckpt/). Call between epochs;
-  /// TrainerBuilder::resume() reconstructs a trainer that continues the
-  /// run bit-identically to one that was never interrupted.
-  virtual void save(std::ostream& out) = 0;
-
- protected:
-  /// Restore path: the deserializer is positioned after the config and
-  /// dataset sections (already consumed by TrainerBuilder::resume()).
-  /// `saved` is the checkpoint's own configuration BEFORE builder
-  /// overrides — trainers compare it against their merged config to tell
-  /// an exact same-geometry resume from an elastic restart.
-  virtual void restore(ckpt::Deserializer& d, const TrainConfig& saved) = 0;
-
-  /// Periodic auto-checkpointing, shared by every mode's train() loop:
-  /// when armed (TrainConfig::auto_checkpoint_every via TrainerBuilder),
-  /// save() to the configured path after every N completed epochs,
-  /// atomically against process crashes (sibling ".tmp" + checked
-  /// flush/close + rename — a killed process or failed write never
-  /// replaces the previous good snapshot; power-loss durability (fsync)
-  /// is explicitly out of scope). Call with epochs_run() after each
-  /// epoch of a train() loop; no-op when disabled. run_epoch() stepping
-  /// deliberately never triggers it.
-  void maybe_auto_checkpoint(int epochs_completed);
-
-  /// The armed auto-checkpoint knobs (empty path / 0 when disabled) — the
-  /// kill-recovery loop restores from this path.
-  const std::string& auto_checkpoint_path() const {
-    return auto_checkpoint_path_;
-  }
-  int auto_checkpoint_every() const { return auto_checkpoint_every_; }
-  /// Wall-clock and size of the most recent auto-checkpoint write (0 until
-  /// one happened) — surfaced on TrainResult::recovery.
-  double last_auto_save_seconds() const { return last_auto_save_seconds_; }
-  std::uint64_t last_auto_snapshot_bytes() const {
-    return last_auto_snapshot_bytes_;
-  }
-
-  friend class TrainerBuilder;
-
- private:
-  /// Builder-only: validates and stores the auto-checkpoint knobs.
-  void arm_auto_checkpoint(std::string path, int every_epochs);
-
-  int auto_checkpoint_every_ = 0;
-  std::string auto_checkpoint_path_;
-  double last_auto_save_seconds_ = 0;
-  std::uint64_t last_auto_snapshot_bytes_ = 0;
-};
-
 /// One configuration record subsuming the per-mode option structs.
 struct TrainConfig {
   GcnConfig gcn;  ///< dims auto-derived from the dataset when left empty
@@ -278,6 +205,113 @@ struct TrainConfig {
 
   // --- sampled-mode options ---
   SamplingConfig sampling;
+};
+
+/// Common trainer interface. Epoch-at-a-time stepping and whole-run
+/// training compose: train() always runs the epochs not yet executed.
+///
+/// The base owns what every mode shares: the dataset, the configuration
+/// record its checkpoints carry, the metric trajectory, the train() loop,
+/// and the checkpoint layout. A concrete trainer supplies its epoch step,
+/// its model, and its own checkpoint sections through two hooks.
+class Trainer {
+ public:
+  virtual ~Trainer() = default;
+
+  /// Human-readable description of the configuration.
+  virtual std::string name() const = 0;
+
+  /// Epochs executed so far: the trajectory's length.
+  int epochs_run() const { return static_cast<int>(epochs_.size()); }
+
+  /// Execute one epoch, append its global metrics to the trajectory, and
+  /// return them.
+  virtual EpochMetrics run_epoch() = 0;
+
+  /// Execute all remaining configured epochs; returns the full trajectory.
+  /// Auto-checkpoints after every armed interval. An injected rank kill
+  /// (RankKilledError) goes to recover_from_kill() under
+  /// FaultRecovery::kCheckpointRestart — the closed recovery loop — and
+  /// propagates to the caller otherwise.
+  const std::vector<EpochMetrics>& train();
+
+  /// Aggregate result for the epochs executed so far. The default copies
+  /// the trajectory; the distributed trainer adds its reports.
+  virtual const TrainResult& result();
+
+  /// The trained model (distributed: every rank holds a bitwise-identical
+  /// replica).
+  virtual const GcnModel& model() const = 0;
+
+  /// Snapshot the complete training state to the versioned binary
+  /// checkpoint format (src/ckpt/). Call between epochs;
+  /// TrainerBuilder::resume() reconstructs a trainer that continues the
+  /// run bit-identically to one that was never interrupted. Every mode
+  /// writes the same layout: "config" (the configuration record),
+  /// "dataset" (its fingerprint), "progress" (the trajectory), "model",
+  /// then the mode's own sections from save_sections().
+  virtual void save(std::ostream& out);
+
+ protected:
+  /// `config` is the record save() writes into the "config" section.
+  Trainer(const Dataset& dataset, TrainConfig config);
+
+  /// Restore path, the inverse of save(): the deserializer is positioned
+  /// after the "config" and "dataset" sections (already consumed by
+  /// ckpt::read_prologue()). Reads "progress" into the trajectory and
+  /// "model" into restored_model(), then hands over to
+  /// restore_sections(). `saved` is the checkpoint's own configuration
+  /// BEFORE builder overrides — trainers compare it against their merged
+  /// config to tell an exact same-geometry resume from an elastic restart.
+  void restore(ckpt::Deserializer& d, const TrainConfig& saved);
+
+  /// The model restore() loads the "model" section into.
+  virtual GcnModel& restored_model() = 0;
+  /// The mode's own checkpoint sections, written after "model".
+  virtual void save_sections(ckpt::Serializer& /*s*/) {}
+  /// Inverse of save_sections(), called after "model" is loaded.
+  virtual void restore_sections(ckpt::Deserializer& /*d*/,
+                                const TrainConfig& /*saved*/) {}
+  /// Closed-loop recovery from one injected rank kill (see train()). The
+  /// default rethrows: only a simulated cluster has ranks to lose.
+  virtual void recover_from_kill(const RankKilledError& kill) { throw kill; }
+
+  /// The armed auto-checkpoint path (empty when disabled) — the
+  /// kill-recovery loop restores from it.
+  const std::string& auto_checkpoint_path() const {
+    return auto_checkpoint_path_;
+  }
+  /// Wall-clock and size of the most recent auto-checkpoint write (0 until
+  /// one happened) — surfaced on TrainResult::recovery.
+  double last_auto_save_seconds() const { return last_auto_save_seconds_; }
+  std::uint64_t last_auto_snapshot_bytes() const {
+    return last_auto_snapshot_bytes_;
+  }
+
+  const Dataset& dataset_;
+  TrainConfig config_;                ///< the record save() writes
+  std::vector<EpochMetrics> epochs_;  ///< the metric trajectory
+  TrainResult result_;
+
+  friend class TrainerBuilder;
+
+ private:
+  /// Builder-only: validates and stores the auto-checkpoint knobs.
+  void arm_auto_checkpoint(std::string path, int every_epochs);
+
+  /// Periodic auto-checkpointing inside train(): when armed
+  /// (TrainConfig::auto_checkpoint_every via TrainerBuilder), save() to
+  /// the configured path after every N completed epochs, atomically
+  /// against process crashes (sibling ".tmp" + checked flush/close +
+  /// rename — a killed process or failed write never replaces the
+  /// previous good snapshot; power-loss durability (fsync) is explicitly
+  /// out of scope). run_epoch() stepping deliberately never triggers it.
+  void maybe_auto_checkpoint();
+
+  int auto_checkpoint_every_ = 0;
+  std::string auto_checkpoint_path_;
+  double last_auto_save_seconds_ = 0;
+  std::uint64_t last_auto_snapshot_bytes_ = 0;
 };
 
 /// Fluent constructor for every trainer kind.

@@ -9,16 +9,22 @@ namespace sagnn {
 
 namespace {
 
-/// Apply a random relabeling to all entries of a COO (in place); returns
-/// the permutation used (perm[old] = new).
-std::vector<vid_t> scramble(CooMatrix& coo, Rng& rng) {
-  const vid_t n = coo.n_rows();
+/// Uniform random permutation of [0, n) (Fisher-Yates, n - 1 draws).
+std::vector<vid_t> random_permutation(vid_t n, Rng& rng) {
   std::vector<vid_t> perm(static_cast<std::size_t>(n));
   std::iota(perm.begin(), perm.end(), 0);
   for (vid_t i = n - 1; i > 0; --i) {
-    const auto j = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(i) + 1));
+    const auto j =
+        static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(i) + 1));
     std::swap(perm[static_cast<std::size_t>(i)], perm[static_cast<std::size_t>(j)]);
   }
+  return perm;
+}
+
+/// Apply a random relabeling to all entries of a COO (in place); returns
+/// the permutation used (perm[old] = new).
+std::vector<vid_t> scramble(CooMatrix& coo, Rng& rng) {
+  std::vector<vid_t> perm = random_permutation(coo.n_rows(), rng);
   for (auto& e : coo.entries()) {
     e.row = perm[static_cast<std::size_t>(e.row)];
     e.col = perm[static_cast<std::size_t>(e.col)];
@@ -38,83 +44,51 @@ void finalize_simple_symmetric(CooMatrix& coo) {
   for (auto& e : coo.entries()) e.val = real_t{1};
 }
 
-}  // namespace
-
-CooMatrix erdos_renyi(vid_t n, eid_t m, Rng& rng) {
-  SAGNN_REQUIRE(n > 1, "need at least 2 vertices");
-  CooMatrix coo(n, n);
-  for (eid_t k = 0; k < m; ++k) {
-    const auto u = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
-    const auto v = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
-    if (u != v) coo.add(u, v, real_t{1});
-  }
-  finalize_simple_symmetric(coo);
-  return coo;
-}
-
-CooMatrix rmat(int scale, int edge_factor, Rng& rng, RmatParams params) {
-  SAGNN_REQUIRE(scale >= 1 && scale < 31, "rmat scale out of range");
-  SAGNN_REQUIRE(edge_factor >= 1, "edge_factor must be positive");
-  const vid_t n = vid_t{1} << scale;
-  const eid_t m = static_cast<eid_t>(n) * edge_factor;
+/// One R-MAT quadrant descent: `scale` next_double draws, each choosing
+/// the quadrant of one bit of (row, col).
+void rmat_edge(int scale, const RmatParams& params, Rng& rng, vid_t& row, vid_t& col) {
   const double ab = params.a + params.b;
   const double abc = ab + params.c;
-  SAGNN_REQUIRE(abc < 1.0, "rmat probabilities must sum below 1");
-
-  CooMatrix coo(n, n);
-  for (eid_t k = 0; k < m; ++k) {
-    vid_t row = 0, col = 0;
-    for (int bit = scale - 1; bit >= 0; --bit) {
-      const double r = rng.next_double();
-      if (r < params.a) {
-        // top-left quadrant
-      } else if (r < ab) {
-        col |= vid_t{1} << bit;
-      } else if (r < abc) {
-        row |= vid_t{1} << bit;
-      } else {
-        row |= vid_t{1} << bit;
-        col |= vid_t{1} << bit;
-      }
+  row = 0;
+  col = 0;
+  for (int bit = scale - 1; bit >= 0; --bit) {
+    const double r = rng.next_double();
+    if (r < params.a) {
+      // top-left quadrant
+    } else if (r < ab) {
+      col |= vid_t{1} << bit;
+    } else if (r < abc) {
+      row |= vid_t{1} << bit;
+    } else {
+      row |= vid_t{1} << bit;
+      col |= vid_t{1} << bit;
     }
-    if (row != col) coo.add(row, col, real_t{1});
   }
-  if (params.scramble_ids) scramble(coo, rng);
-  finalize_simple_symmetric(coo);
-  return coo;
 }
 
-CsrMatrix rmat_csr(int scale, int edge_factor, Rng& rng, RmatParams params) {
+/// Edge count of an R-MAT graph, after validating its parameters.
+eid_t rmat_edge_count(int scale, int edge_factor, const RmatParams& params) {
   SAGNN_REQUIRE(scale >= 1 && scale < 31, "rmat scale out of range");
   SAGNN_REQUIRE(edge_factor >= 1, "edge_factor must be positive");
-  const vid_t n = vid_t{1} << scale;
-  const eid_t m = static_cast<eid_t>(n) * edge_factor;
-  const double ab = params.a + params.b;
-  const double abc = ab + params.c;
-  SAGNN_REQUIRE(abc < 1.0, "rmat probabilities must sum below 1");
+  SAGNN_REQUIRE(params.a + params.b + params.c < 1.0,
+                "rmat probabilities must sum below 1");
+  return static_cast<eid_t>(vid_t{1} << scale) * edge_factor;
+}
 
-  // One quadrant descent == `scale` next_double draws, exactly as rmat().
-  auto draw_edge = [&](vid_t& row, vid_t& col) {
-    row = 0;
-    col = 0;
-    for (int bit = scale - 1; bit >= 0; --bit) {
-      const double r = rng.next_double();
-      if (r < params.a) {
-        // top-left quadrant
-      } else if (r < ab) {
-        col |= vid_t{1} << bit;
-      } else if (r < abc) {
-        row |= vid_t{1} << bit;
-      } else {
-        row |= vid_t{1} << bit;
-        col |= vid_t{1} << bit;
-      }
-    }
-  };
-
+/// The symmetric, deduplicated, unit-weight CSR of the `m` endpoint pairs
+/// `draw_edge(row, col)` streams from `rng` (self-loops dropped), built
+/// without a COO: pass 1 counts each vertex's arcs, pass 2 replays the
+/// identical stream from an RNG snapshot and scatters both arc directions
+/// into their rows, then each row is sorted and deduplicated in place.
+/// The result equals CsrMatrix::from_coo of the COO generators' output,
+/// including the scramble permutation, which is drawn after the edge
+/// stream exactly as scramble() draws it; the RNG ends where the COO path
+/// leaves it.
+template <typename DrawEdge>
+CsrMatrix streamed_symmetric_csr(vid_t n, eid_t m, bool scramble_ids, Rng& rng,
+                                 DrawEdge draw_edge) {
   // Pass 1: per-vertex arc counts (both directions, duplicates included —
-  // dedup happens in place after the fill). Snapshot the generator first so
-  // pass 2 can replay the identical edge stream.
+  // dedup happens in place after the fill).
   const auto edge_state = rng.save_state();
   std::vector<eid_t> count(static_cast<std::size_t>(n), 0);
   for (eid_t k = 0; k < m; ++k) {
@@ -126,27 +100,19 @@ CsrMatrix rmat_csr(int scale, int edge_factor, Rng& rng, RmatParams params) {
     }
   }
 
-  // The COO path draws the scramble permutation AFTER the edge stream; the
-  // RNG is at exactly that point now, so the permutation matches bit for
-  // bit. A bijection maps degrees with it: remap the counts instead of
+  // The RNG now stands where the COO path draws its scramble permutation.
+  // A bijection maps degrees with it: remap the counts instead of
   // recounting.
   std::vector<vid_t> perm;
-  if (params.scramble_ids) {
-    perm.resize(static_cast<std::size_t>(n));
-    std::iota(perm.begin(), perm.end(), 0);
-    for (vid_t i = n - 1; i > 0; --i) {
-      const auto j = static_cast<vid_t>(
-          rng.next_below(static_cast<std::uint64_t>(i) + 1));
-      std::swap(perm[static_cast<std::size_t>(i)],
-                perm[static_cast<std::size_t>(j)]);
-    }
-  }
+  if (scramble_ids) perm = random_permutation(n, rng);
   const auto final_state = rng.save_state();
+  const auto id = [&](vid_t v) {
+    return scramble_ids ? perm[static_cast<std::size_t>(v)] : v;
+  };
 
   std::vector<eid_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
   for (vid_t v = 0; v < n; ++v) {
-    const vid_t id = params.scramble_ids ? perm[static_cast<std::size_t>(v)] : v;
-    row_ptr[static_cast<std::size_t>(id) + 1] = count[static_cast<std::size_t>(v)];
+    row_ptr[static_cast<std::size_t>(id(v)) + 1] = count[static_cast<std::size_t>(v)];
   }
   for (vid_t v = 0; v < n; ++v) {
     row_ptr[static_cast<std::size_t>(v) + 1] += row_ptr[static_cast<std::size_t>(v)];
@@ -163,10 +129,8 @@ CsrMatrix rmat_csr(int scale, int edge_factor, Rng& rng, RmatParams params) {
     vid_t row, col;
     draw_edge(row, col);
     if (row != col) {
-      const vid_t u =
-          params.scramble_ids ? perm[static_cast<std::size_t>(row)] : row;
-      const vid_t v =
-          params.scramble_ids ? perm[static_cast<std::size_t>(col)] : col;
+      const vid_t u = id(row);
+      const vid_t v = id(col);
       col_idx[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
       col_idx[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
     }
@@ -197,6 +161,43 @@ CsrMatrix rmat_csr(int scale, int edge_factor, Rng& rng, RmatParams params) {
                    std::move(vals));
 }
 
+}  // namespace
+
+CooMatrix erdos_renyi(vid_t n, eid_t m, Rng& rng) {
+  SAGNN_REQUIRE(n > 1, "need at least 2 vertices");
+  CooMatrix coo(n, n);
+  for (eid_t k = 0; k < m; ++k) {
+    const auto u = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+    const auto v = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+    if (u != v) coo.add(u, v, real_t{1});
+  }
+  finalize_simple_symmetric(coo);
+  return coo;
+}
+
+CooMatrix rmat(int scale, int edge_factor, Rng& rng, RmatParams params) {
+  const eid_t m = rmat_edge_count(scale, edge_factor, params);
+  const vid_t n = vid_t{1} << scale;
+  CooMatrix coo(n, n);
+  for (eid_t k = 0; k < m; ++k) {
+    vid_t row = 0, col = 0;
+    rmat_edge(scale, params, rng, row, col);
+    if (row != col) coo.add(row, col, real_t{1});
+  }
+  if (params.scramble_ids) scramble(coo, rng);
+  finalize_simple_symmetric(coo);
+  return coo;
+}
+
+CsrMatrix rmat_csr(int scale, int edge_factor, Rng& rng, RmatParams params) {
+  const eid_t m = rmat_edge_count(scale, edge_factor, params);
+  const auto draw_edge = [&](vid_t& row, vid_t& col) {
+    rmat_edge(scale, params, rng, row, col);
+  };
+  return streamed_symmetric_csr(vid_t{1} << scale, m, params.scramble_ids, rng,
+                                draw_edge);
+}
+
 CsrMatrix powerlaw_csr(vid_t n, int avg_degree, double exponent, Rng& rng,
                        bool scramble_ids) {
   SAGNN_REQUIRE(n > 1, "need at least 2 vertices");
@@ -204,95 +205,14 @@ CsrMatrix powerlaw_csr(vid_t n, int avg_degree, double exponent, Rng& rng,
   SAGNN_REQUIRE(exponent >= 0.0, "exponent must be >= 0");
   const eid_t m = static_cast<eid_t>(n) * avg_degree / 2;
   // The inverse-CDF table is a pure function of (exponent, n): building it
-  // consumes no RNG draws, so it can sit outside the snapshotted region.
+  // consumes no RNG draws. Each endpoint pair costs exactly two
+  // next_double draws (ZipfSampler documents one uniform per sample).
   const ZipfSampler zipf(exponent, static_cast<std::uint64_t>(n));
-
-  // Each endpoint pair costs exactly two next_double draws (ZipfSampler
-  // documents one uniform per sample), which is what lets pass 2 replay
-  // pass 1's stream bit for bit from the snapshot.
-  auto draw_edge = [&](vid_t& row, vid_t& col) {
+  const auto draw_edge = [&](vid_t& row, vid_t& col) {
     row = static_cast<vid_t>(zipf.sample(rng));
     col = static_cast<vid_t>(zipf.sample(rng));
   };
-
-  // Pass 1: per-vertex arc counts (both directions, duplicates included —
-  // dedup happens in place after the fill).
-  const auto edge_state = rng.save_state();
-  std::vector<eid_t> count(static_cast<std::size_t>(n), 0);
-  for (eid_t k = 0; k < m; ++k) {
-    vid_t row, col;
-    draw_edge(row, col);
-    if (row != col) {
-      ++count[static_cast<std::size_t>(row)];
-      ++count[static_cast<std::size_t>(col)];
-    }
-  }
-
-  // Scramble permutation drawn after the edge stream, exactly as the COO
-  // generators order their draws; remap counts through the bijection.
-  std::vector<vid_t> perm;
-  if (scramble_ids) {
-    perm.resize(static_cast<std::size_t>(n));
-    std::iota(perm.begin(), perm.end(), 0);
-    for (vid_t i = n - 1; i > 0; --i) {
-      const auto j = static_cast<vid_t>(
-          rng.next_below(static_cast<std::uint64_t>(i) + 1));
-      std::swap(perm[static_cast<std::size_t>(i)],
-                perm[static_cast<std::size_t>(j)]);
-    }
-  }
-  const auto final_state = rng.save_state();
-
-  std::vector<eid_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (vid_t v = 0; v < n; ++v) {
-    const vid_t id = scramble_ids ? perm[static_cast<std::size_t>(v)] : v;
-    row_ptr[static_cast<std::size_t>(id) + 1] = count[static_cast<std::size_t>(v)];
-  }
-  for (vid_t v = 0; v < n; ++v) {
-    row_ptr[static_cast<std::size_t>(v) + 1] += row_ptr[static_cast<std::size_t>(v)];
-  }
-  count.clear();
-  count.shrink_to_fit();
-
-  // Pass 2: replay the stream, scatter both arc directions into their rows.
-  std::vector<vid_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
-  std::vector<eid_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  rng.load_state(edge_state);
-  for (eid_t k = 0; k < m; ++k) {
-    vid_t row, col;
-    draw_edge(row, col);
-    if (row != col) {
-      const vid_t u =
-          scramble_ids ? perm[static_cast<std::size_t>(row)] : row;
-      const vid_t v =
-          scramble_ids ? perm[static_cast<std::size_t>(col)] : col;
-      col_idx[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
-      col_idx[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
-    }
-  }
-  rng.load_state(final_state);
-
-  // Sort + dedup each row in place, compacting as we go (same invariant as
-  // rmat_csr: the write cursor never passes the read cursor).
-  eid_t write = 0;
-  eid_t row_begin = 0;
-  for (vid_t r = 0; r < n; ++r) {
-    const eid_t row_end = row_ptr[static_cast<std::size_t>(r) + 1];
-    auto* first = col_idx.data() + row_begin;
-    auto* last = col_idx.data() + row_end;
-    std::sort(first, last);
-    last = std::unique(first, last);
-    for (auto* p = first; p != last; ++p) {
-      col_idx[static_cast<std::size_t>(write++)] = *p;
-    }
-    row_begin = row_end;
-    row_ptr[static_cast<std::size_t>(r) + 1] = write;
-  }
-  col_idx.resize(static_cast<std::size_t>(write));
-  col_idx.shrink_to_fit();
-  std::vector<real_t> vals(static_cast<std::size_t>(write), real_t{1});
-  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                   std::move(vals));
+  return streamed_symmetric_csr(n, m, scramble_ids, rng, draw_edge);
 }
 
 CooMatrix clustered_graph(vid_t n, vid_t cluster_size, int intra_degree,
@@ -370,22 +290,9 @@ CooMatrix hybrid_community_graph(vid_t n, vid_t cluster_size, int intra_degree,
   params.a = 0.65;
   params.b = 0.15;
   params.c = 0.15;
-  const double ab = params.a + params.b;
-  const double abc = ab + params.c;
   for (eid_t k = 0; k < overlay; ++k) {
     vid_t row = 0, col = 0;
-    for (int bit = scale - 1; bit >= 0; --bit) {
-      const double r = rng.next_double();
-      if (r < params.a) {
-      } else if (r < ab) {
-        col |= vid_t{1} << bit;
-      } else if (r < abc) {
-        row |= vid_t{1} << bit;
-      } else {
-        row |= vid_t{1} << bit;
-        col |= vid_t{1} << bit;
-      }
-    }
+    rmat_edge(scale, params, rng, row, col);
     if (row < n && col < n && row != col) coo.add(row, col, real_t{1});
   }
 

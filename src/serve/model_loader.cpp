@@ -8,21 +8,11 @@ ModelLoader::ModelLoader(std::istream& in) {
   ckpt::Deserializer d(in);
 
   // The prologue every trainer writes, in fixed order.
-  d.enter_section("config");
-  config_ = ckpt::read_train_config(d);
-  d.leave_section();
-  if (config_.gcn.dims.size() < 2) {
+  prologue_ = ckpt::read_prologue(d);
+  if (prologue_.config.gcn.dims.size() < 2) {
     throw ckpt::CheckpointFormatError(
         "section 'config': model has no layer dimensions");
   }
-
-  d.enter_section("dataset");
-  fingerprint_.name = d.read_string();
-  fingerprint_.n = d.read_i32();
-  fingerprint_.f = d.read_i32();
-  fingerprint_.classes = d.read_i32();
-  fingerprint_.nnz = d.read_i64();
-  d.leave_section();
 
   // Everything after the prologue is mode-specific; take what serving
   // needs, skip (with CRC verification) what it does not.
@@ -32,7 +22,7 @@ ModelLoader::ModelLoader(std::istream& in) {
     if (name == "progress") {
       epochs_trained_ = ckpt::read_progress(d, metrics_);
     } else if (name == "model") {
-      model_ = GcnModel(config_.gcn);
+      model_ = GcnModel(prologue_.config.gcn);
       d.enter_section("model");
       ckpt::read_model_into(d, model_);
       d.leave_section();
@@ -46,26 +36,6 @@ ModelLoader::ModelLoader(std::istream& in) {
     throw ckpt::CheckpointFormatError(
         "checkpoint holds no 'model' section — nothing to serve");
   }
-}
-
-void ModelLoader::require_compatible(const Dataset& ds,
-                                     bool allow_edge_drift) const {
-  const bool nnz_ok = allow_edge_drift || fingerprint_.nnz == ds.n_edges();
-  if (fingerprint_.name == ds.name && fingerprint_.n == ds.n_vertices() &&
-      fingerprint_.f == ds.n_features() &&
-      fingerprint_.classes == ds.n_classes && nnz_ok) {
-    return;
-  }
-  throw ckpt::CheckpointMismatchError(
-      "checkpoint was trained on dataset '" + fingerprint_.name + "' (n=" +
-      std::to_string(fingerprint_.n) + ", f=" + std::to_string(fingerprint_.f) +
-      ", classes=" + std::to_string(fingerprint_.classes) +
-      ", nnz=" + std::to_string(fingerprint_.nnz) + "), serving targets '" +
-      ds.name + "' (n=" + std::to_string(ds.n_vertices()) +
-      ", f=" + std::to_string(ds.n_features()) +
-      ", classes=" + std::to_string(ds.n_classes) +
-      ", nnz=" + std::to_string(ds.n_edges()) +
-      (allow_edge_drift ? ", edge drift allowed" : "") + ")");
 }
 
 }  // namespace sagnn::serve

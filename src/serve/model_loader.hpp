@@ -11,20 +11,22 @@
 // checkpoint taken on a different graph.
 //
 // The loader reads the common prologue every trainer writes ("config" +
-// "dataset"), then walks the remaining sections: "progress" and "model"
-// are interpreted; anything else — "rng", "traffic", "rank_cpu",
-// "sampled_metrics", whatever a future trainer adds — is skipped through
-// Deserializer::skip_section(), which still verifies the section CRC. A
-// checkpoint from ANY training mode is therefore loadable, and damage
-// anywhere in the file is still detected. Malformed or incompatible
-// streams throw the typed errors of ckpt/errors.hpp; a stream without a
-// "model" section (no trainer writes one of those, but a truncated-and-
-// repaired file could look like that) is a CheckpointFormatError.
+// "dataset", through ckpt::read_prologue()), then walks the remaining
+// sections: "progress" and "model" are interpreted; anything else — "rng",
+// "traffic", "rank_cpu", "sampled_metrics", whatever a future trainer
+// adds — is skipped through Deserializer::skip_section(), which still
+// verifies the section CRC. A checkpoint from ANY training mode is
+// therefore loadable, and damage anywhere in the file is still detected.
+// Malformed or incompatible streams throw the typed errors of
+// ckpt/errors.hpp; a stream without a "model" section (no trainer writes
+// one of those, but a truncated-and-repaired file could look like that)
+// is a CheckpointFormatError.
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "ckpt/state_io.hpp"
 #include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 
@@ -36,17 +38,11 @@ class ModelLoader {
   /// surfaces here, not at first use.
   explicit ModelLoader(std::istream& in);
 
+  const TrainConfig& train_config() const { return prologue_.config; }
   /// The "dataset" section: identity of the graph the model was trained on.
-  struct Fingerprint {
-    std::string name;
-    vid_t n = 0;
-    vid_t f = 0;
-    vid_t classes = 0;
-    eid_t nnz = 0;
-  };
-
-  const TrainConfig& train_config() const { return config_; }
-  const Fingerprint& fingerprint() const { return fingerprint_; }
+  const ckpt::DatasetFingerprint& fingerprint() const {
+    return prologue_.dataset;
+  }
   int epochs_trained() const { return epochs_trained_; }
   const std::vector<EpochMetrics>& metrics() const { return metrics_; }
   /// Section names that were skipped (mode-specific training state).
@@ -57,16 +53,14 @@ class ModelLoader {
   GcnModel take_model() { return std::move(model_); }
 
   /// Throw CheckpointMismatchError unless `ds` is the checkpoint's
-  /// dataset. `allow_edge_drift` relaxes only the edge count — the knob
-  /// for serving graphs that have absorbed streaming updates since
-  /// training; name, vertex count, feature width, and class count must
-  /// always match (the model's shapes depend on them).
+  /// dataset: fingerprint().require_matches(ds, allow_edge_drift).
   void require_compatible(const Dataset& ds,
-                          bool allow_edge_drift = false) const;
+                          bool allow_edge_drift = false) const {
+    prologue_.dataset.require_matches(ds, allow_edge_drift);
+  }
 
  private:
-  TrainConfig config_;
-  Fingerprint fingerprint_;
+  ckpt::Prologue prologue_;
   GcnModel model_;
   int epochs_trained_ = 0;
   std::vector<EpochMetrics> metrics_;

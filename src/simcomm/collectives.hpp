@@ -159,9 +159,11 @@ PendingAlltoall<T> ialltoallv(Comm& comm,
 /// runtime is eager), the per-source receives stay posted until wait().
 /// wait() returns the same recv_bufs the blocking alltoallv would have —
 /// the message pattern, tags, and traffic accounting are identical — and
-/// records the measured post→wait window (hidden vs blocked seconds) under
-/// the exchange's phase in the world's TrafficRecorder. Move-only; exactly
-/// one wait() per handle.
+/// records the measured overlap under the exchange's phase in the world's
+/// TrafficRecorder: hidden is the time from the end of the post to the
+/// entry of wait() (the caller's own work in between), blocked is the
+/// time parked inside wait(). The exchange's own sends, claims and copies
+/// count as neither. Move-only; exactly one wait() per handle.
 template <typename T>
 class PendingAlltoall {
  public:
@@ -175,6 +177,7 @@ class PendingAlltoall {
   /// record the measured overlap, and return the per-source buffers.
   std::vector<std::vector<T>> wait() {
     SAGNN_REQUIRE(valid(), "wait() on an empty alltoall handle");
+    const double hidden = CommWorld::now_seconds() - posted_at_;
     Comm* comm = comm_;
     comm_ = nullptr;
     std::vector<std::vector<T>> recv_bufs(recvs_.size());
@@ -194,11 +197,7 @@ class PendingAlltoall {
       blocked += stats.blocked;
       max_blocked = std::max(max_blocked, stats.blocked);
     }
-    // The exchange was outstanding from post to now; whatever of that
-    // window was not stalled inside wait() was covered by useful work.
-    const double window = CommWorld::now_seconds() - posted_at_;
-    comm->world().traffic().record_overlap(phase_, std::max(0.0, window - blocked),
-                                           blocked, max_blocked);
+    comm->world().traffic().record_overlap(phase_, hidden, blocked, max_blocked);
     return recv_bufs;
   }
 
@@ -209,7 +208,7 @@ class PendingAlltoall {
 
   Comm* comm_ = nullptr;
   std::string phase_;
-  double posted_at_ = 0;
+  double posted_at_ = 0;  ///< clock at the end of the post
   std::vector<Request> recvs_;  ///< indexed by source communicator rank
 };
 
@@ -234,7 +233,6 @@ PendingAlltoall<T> ialltoallv(Comm& comm,
   PendingAlltoall<T> pending;
   pending.comm_ = &comm;
   pending.phase_ = phase;
-  pending.posted_at_ = CommWorld::now_seconds();
   pending.recvs_.resize(static_cast<std::size_t>(p));
   // Local block: a self-copy, recorded so volume accounting can decide how
   // to treat it (CostModel ignores src==dst traffic).
@@ -252,13 +250,14 @@ PendingAlltoall<T> ialltoallv(Comm& comm,
     pending.recvs_[static_cast<std::size_t>(src)] =
         comm.irecv(src, tag_base + step);
   }
+  pending.posted_at_ = CommWorld::now_seconds();
   return pending;
 }
 
 /// Blocking all-to-all: ialltoallv posted and waited in one call. A bulk-
 /// synchronous caller therefore still contributes an OverlapSample — with
-/// a near-empty hidden share, which is exactly what distinguishes it from
-/// a pipelined schedule in the measured columns.
+/// a hidden share of two back-to-back clock reads, which is exactly what
+/// distinguishes it from a pipelined schedule in the measured columns.
 template <typename T>
 std::vector<std::vector<T>> alltoallv(Comm& comm,
                                       const std::vector<std::vector<T>>& send_bufs,

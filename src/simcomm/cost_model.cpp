@@ -4,32 +4,6 @@
 
 namespace sagnn {
 
-double CostModel::send_seconds(const PhaseTraffic& t, int rank) const {
-  double acc = 0;
-  for (int d = 0; d < t.p; ++d) {
-    if (d == rank) continue;
-    const std::size_t i = static_cast<std::size_t>(rank) * t.p + d;
-    acc += alpha(rank, d) * static_cast<double>(t.msgs[i]) +
-           beta(rank, d) * static_cast<double>(t.bytes[i]) * volume_scale;
-  }
-  return acc;
-}
-
-double CostModel::recv_seconds(const PhaseTraffic& t, int rank) const {
-  double acc = 0;
-  for (int s = 0; s < t.p; ++s) {
-    if (s == rank) continue;
-    const std::size_t i = static_cast<std::size_t>(s) * t.p + rank;
-    acc += alpha(s, rank) * static_cast<double>(t.msgs[i]) +
-           beta(s, rank) * static_cast<double>(t.bytes[i]) * volume_scale;
-  }
-  return acc;
-}
-
-double CostModel::phase_seconds(const PhaseTraffic& t) const {
-  return phase_cost_detail(t).seconds;
-}
-
 CostModel::PhaseCostDetail CostModel::phase_cost_detail(
     const PhaseTraffic& t) const {
   // Evaluate both sides of every rank and keep the decomposition of the
@@ -48,8 +22,6 @@ CostModel::PhaseCostDetail CostModel::phase_cost_detail(
       side.latency += alpha(src, dst) * msgs;
       side.messages += msgs;
       side.bytes += bytes * volume_scale;
-      // Same accumulation expression as send_seconds()/recv_seconds(), so
-      // the detail's seconds stays bitwise equal to phase_seconds().
       side.seconds += alpha(src, dst) * msgs + beta(src, dst) * bytes * volume_scale;
     }
     if (side.seconds > worst.seconds) worst = side;

@@ -60,16 +60,9 @@ struct CostModel {
     return same_node(a, b) ? beta_intra : beta_inter;
   }
 
-  /// Send-side serialization cost of rank r in this phase.
-  double send_seconds(const PhaseTraffic& t, int rank) const;
-  /// Receive-side serialization cost of rank r.
-  double recv_seconds(const PhaseTraffic& t, int rank) const;
-  /// Bottleneck cost of the whole phase: max over ranks of
-  /// max(send, recv) serialization.
-  double phase_seconds(const PhaseTraffic& t) const;
-
-  /// One phase's bottleneck cost, decomposed at the bottleneck itself: the
-  /// (rank, side) that sets `seconds` also contributes its alpha share,
+  /// One phase's bottleneck cost: the max over ranks of the send-side and
+  /// receive-side serialization times, decomposed at the bottleneck itself.
+  /// The (rank, side) that sets `seconds` also contributes its alpha share,
   /// message count, and volume-scaled bytes, so
   /// seconds == latency + beta-terms exactly at that bottleneck.
   struct PhaseCostDetail {

@@ -104,25 +104,6 @@ TEST(CkptState, MatrixRoundTripsBitwise) {
   EXPECT_TRUE(back == m);
 }
 
-TEST(CkptState, CsrRoundTripsAndValidates) {
-  CooMatrix coo(4, 4);
-  coo.add(0, 1, 0.5f);
-  coo.add(1, 0, 0.5f);
-  coo.add(2, 3, -1.25f);
-  coo.add(3, 3, 2.0f);
-  const CsrMatrix a = CsrMatrix::from_coo(coo);
-  std::stringstream ss;
-  Serializer s(ss);
-  s.begin_section("a");
-  ckpt::write_csr(s, a);
-  s.end_section();
-  s.finish();
-  Deserializer d(ss);
-  d.enter_section("a");
-  EXPECT_TRUE(ckpt::read_csr(d) == a);
-  d.leave_section();
-}
-
 TEST(CkptState, RngResumesIdenticalStream) {
   Rng rng(999);
   for (int i = 0; i < 57; ++i) (void)rng.next();  // advance mid-stream

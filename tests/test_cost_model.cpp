@@ -30,16 +30,17 @@ TEST(CostModel, NodeTopology) {
 
 TEST(CostModel, SendSecondsSerializesAllDestinations) {
   const CostModel m = simple_model();
-  PhaseTraffic t(4);
+  PhaseTraffic intra(4), inter(4), both(4);
   // rank 0 -> 1 (intra, 10B), rank 0 -> 2 (inter, 10B)
-  t.bytes[0 * 4 + 1] = 10;
-  t.msgs[0 * 4 + 1] = 1;
-  t.bytes[0 * 4 + 2] = 10;
-  t.msgs[0 * 4 + 2] = 1;
-  // (1 + 0.5*10) + (10 + 2*10) = 6 + 30
-  EXPECT_DOUBLE_EQ(m.send_seconds(t, 0), 36.0);
-  EXPECT_DOUBLE_EQ(m.recv_seconds(t, 1), 6.0);
-  EXPECT_DOUBLE_EQ(m.recv_seconds(t, 2), 30.0);
+  intra.bytes[0 * 4 + 1] = both.bytes[0 * 4 + 1] = 10;
+  intra.msgs[0 * 4 + 1] = both.msgs[0 * 4 + 1] = 1;
+  inter.bytes[0 * 4 + 2] = both.bytes[0 * 4 + 2] = 10;
+  inter.msgs[0 * 4 + 2] = both.msgs[0 * 4 + 2] = 1;
+  // One message alone costs its receiver as much as its sender.
+  EXPECT_DOUBLE_EQ(m.phase_cost_detail(intra).seconds, 6.0);   // 1 + 0.5*10
+  EXPECT_DOUBLE_EQ(m.phase_cost_detail(inter).seconds, 30.0);  // 10 + 2*10
+  // Together rank 0's send side serializes both: 6 + 30.
+  EXPECT_DOUBLE_EQ(m.phase_cost_detail(both).seconds, 36.0);
 }
 
 TEST(CostModel, SelfTrafficIsFree) {
@@ -47,8 +48,7 @@ TEST(CostModel, SelfTrafficIsFree) {
   PhaseTraffic t(2);
   t.bytes[0] = 1000000;  // (0,0)
   t.msgs[0] = 5;
-  EXPECT_DOUBLE_EQ(m.send_seconds(t, 0), 0.0);
-  EXPECT_DOUBLE_EQ(m.phase_seconds(t), 0.0);
+  EXPECT_DOUBLE_EQ(m.phase_cost_detail(t).seconds, 0.0);
 }
 
 TEST(CostModel, PhaseIsBottleneckRank) {
@@ -58,7 +58,7 @@ TEST(CostModel, PhaseIsBottleneckRank) {
   t.msgs[0 * 4 + 1] = 1;
   t.bytes[3 * 4 + 0] = 100;  // rank3 sends 100B inter: 10 + 200 = 210
   t.msgs[3 * 4 + 0] = 1;
-  EXPECT_DOUBLE_EQ(m.phase_seconds(t), 210.0);
+  EXPECT_DOUBLE_EQ(m.phase_cost_detail(t).seconds, 210.0);
 }
 
 TEST(CostModel, RecvSideCanBeBottleneck) {
@@ -70,7 +70,7 @@ TEST(CostModel, RecvSideCanBeBottleneck) {
     t.msgs[static_cast<std::size_t>(s) * 4 + 0] = 1;
   }
   // rank0 recv: (1+5) + (10+20) + (10+20) = 66 > any single send cost (30).
-  EXPECT_DOUBLE_EQ(m.phase_seconds(t), 66.0);
+  EXPECT_DOUBLE_EQ(m.phase_cost_detail(t).seconds, 66.0);
 }
 
 TEST(CostModel, ComputeSecondsScalesAndTakesMax) {
@@ -164,7 +164,7 @@ TEST(CostModel, VolumeScaleMultipliesBytesNotLatency) {
   t.bytes[0 * 2 + 1] = 10;  // intra: alpha 1, beta 0.5
   t.msgs[0 * 2 + 1] = 1;
   // 1 (latency unscaled) + 0.5 * 10 * 10 (bytes scaled)
-  EXPECT_DOUBLE_EQ(m.send_seconds(t, 0), 51.0);
+  EXPECT_DOUBLE_EQ(m.phase_cost_detail(t).seconds, 51.0);
   EXPECT_DOUBLE_EQ(m.compute_seconds({1.0}), 1.0);  // 0.1 scale * 10
 }
 

@@ -24,8 +24,11 @@ TEST(PhaseCostDetail, DecomposesTheBottleneckExactly) {
   t.bytes[0 * 3 + 2] = 4000;
   t.msgs[0 * 3 + 2] = 1;
   const auto d = m.phase_cost_detail(t);
-  EXPECT_DOUBLE_EQ(d.seconds, m.phase_seconds(t));
-  EXPECT_DOUBLE_EQ(d.seconds, m.send_seconds(t, 0));
+  // Rank 0's send side, peer by peer (peer 0 is itself and free).
+  const double send0 =
+      (m.alpha(0, 1) * 2 + m.beta(0, 1) * 1000 * m.volume_scale) +
+      (m.alpha(0, 2) * 1 + m.beta(0, 2) * 4000 * m.volume_scale);
+  EXPECT_DOUBLE_EQ(d.seconds, send0);
   EXPECT_DOUBLE_EQ(d.latency, 2 * m.alpha_intra + 1 * m.alpha_inter);
   EXPECT_DOUBLE_EQ(d.messages, 3.0);
   EXPECT_DOUBLE_EQ(d.bytes, 5000.0);

@@ -18,8 +18,7 @@
 #include "common/parallel.hpp"
 #include "dense/gemm.hpp"
 #include "dense/ops.hpp"
-#include "gnn/distributed_trainer.hpp"
-#include "gnn/serial_trainer.hpp"
+#include "gnn/trainer.hpp"
 #include "graph/datasets.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/model_loader.hpp"
@@ -42,9 +41,7 @@ GcnConfig tiny_gcn(const Dataset& ds, int epochs = 2) {
 std::string serial_snapshot(const Dataset& ds, GcnModel* trained = nullptr) {
   auto trainer = TrainerBuilder(ds).strategy("serial").gcn(tiny_gcn(ds)).build();
   trainer->train();
-  if (trained != nullptr) {
-    *trained = dynamic_cast<SerialTrainer&>(*trainer).model();
-  }
+  if (trained != nullptr) *trained = trainer->model();
   std::stringstream out;
   trainer->save(out);
   return out.str();
@@ -58,9 +55,7 @@ std::string distributed_snapshot(const Dataset& ds, GcnModel* trained = nullptr)
                      .gcn(tiny_gcn(ds))
                      .build();
   trainer->train();
-  if (trained != nullptr) {
-    *trained = dynamic_cast<DistributedTrainer&>(*trainer).model();
-  }
+  if (trained != nullptr) *trained = trainer->model();
   std::stringstream out;
   trainer->save(out);
   return out.str();

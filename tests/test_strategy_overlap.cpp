@@ -1,9 +1,10 @@
 // The "1d-overlap" chunked-pipelining strategy and the cost accounting it
 // depends on: identical training math and bytes to "1d-sparse" with K-fold
 // messages, stage-tagged traffic driving TrainResult's three schedule
-// columns, a measured overlap ledger that counts every exchange wait, and
-// a strategy-level epoch cost whose `other` bucket excludes the one-time
-// index exchange exactly.
+// columns, a measured overlap ledger that counts every exchange wait and
+// none of an exchange's own sends as hidden time, and a strategy-level
+// epoch cost whose `other` bucket excludes the one-time index exchange
+// exactly.
 #include <gtest/gtest.h>
 
 #include "gnn/strategy.hpp"
@@ -11,6 +12,9 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "partition/partition.hpp"
+#include "simcomm/cluster.hpp"
+#include "simcomm/collectives.hpp"
+#include "simcomm/fault.hpp"
 #include "sparse/blocks.hpp"
 
 namespace sagnn {
@@ -138,6 +142,28 @@ TEST(StrategyOverlap, MeasuredAlltoallOverlapCountsEveryExchangeWait) {
   }
 }
 
+TEST(StrategyOverlap, ExchangeOwnSendsAreNotHiddenTime) {
+  // A straggling rank 0 sleeps (11 - 1) * 1 ms = 10 ms before each of its
+  // three cross-rank sends. Those sleeps belong to the exchange's own
+  // post, not to work the exchange overlapped, so a bulk alltoallv waited
+  // right after posting reads (almost) no hidden time on any rank: rank
+  // 0's peers park for its messages (blocked), rank 0 finds theirs.
+  FaultSpec spec;
+  spec.rank_slowdown[0] = 11;
+  spec.straggler_send_delay = 1e-3;
+  const TrafficRecorder traffic =
+      run_spmd(4, FaultPlan::make(spec), [](Comm& comm) {
+        const std::vector<std::vector<int>> send(4, std::vector<int>{comm.rank()});
+        const auto recv = alltoallv<int>(comm, send);
+        for (int s = 0; s < 4; ++s) {
+          EXPECT_EQ(recv[static_cast<std::size_t>(s)], std::vector<int>{s});
+        }
+      });
+  const OverlapSample s = traffic.overlap_total("alltoall");
+  EXPECT_EQ(s.waits, 4u);
+  EXPECT_LT(s.hidden, 0.010);
+}
+
 TEST(StrategyEpochCost, OtherBucketExcludesIndexExchangeExactly) {
   // The one-time index exchange is excluded during cost assembly, so the
   // per-epoch `other` bucket equals the non-setup phases' cost exactly —
@@ -159,9 +185,10 @@ TEST(StrategyEpochCost, OtherBucketExcludesIndexExchangeExactly) {
   const int epochs = 3;
   const std::vector<double> cpu{0.1, 0.2};
   const EpochCost cost = strategy->epoch_cost(m, rec, cpu, ctx, epochs);
-  EXPECT_DOUBLE_EQ(cost.other, m.phase_seconds(rec.phase("gather")) / epochs);
+  EXPECT_DOUBLE_EQ(cost.other,
+                   m.phase_cost_detail(rec.phase("gather")).seconds / epochs);
   EXPECT_DOUBLE_EQ(cost.alltoall,
-                   m.phase_seconds(rec.phase("alltoall")) / epochs);
+                   m.phase_cost_detail(rec.phase("alltoall")).seconds / epochs);
 }
 
 TEST(StrategyOverlap, BlockRowWorkSharedWithSparse1d) {
