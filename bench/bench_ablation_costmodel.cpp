@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     const char* names[] = {"CAGNET", "SA", "SA+GVB"};
     int best = 0;
     for (int i = 1; i < 3; ++i) {
-      if (totals[static_cast<std::size_t>(i)] < totals[static_cast<std::size_t>(best)]) {
+      if (totals[static_cast<std::size_t>(i)] <
+          totals[static_cast<std::size_t>(best)]) {
         best = i;
       }
     }
@@ -79,7 +80,8 @@ int main(int argc, char** argv) {
     const char* names[] = {"CAGNET", "SA", "SA+GVB"};
     int best = 0;
     for (int i = 1; i < 3; ++i) {
-      if (totals[static_cast<std::size_t>(i)] < totals[static_cast<std::size_t>(best)]) {
+      if (totals[static_cast<std::size_t>(i)] <
+          totals[static_cast<std::size_t>(best)]) {
         best = i;
       }
     }

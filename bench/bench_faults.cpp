@@ -66,7 +66,6 @@ struct Record {
   std::uint64_t snapshot_bytes = 0;
   std::uint64_t drops = 0;
   std::uint64_t retries = 0;
-  std::uint64_t duplicates = 0;
   double straggler_seconds = 0;
   double wall_seconds = 0;
   double goodput_eps = 0;  ///< useful (non-replayed) epochs per wall second
@@ -105,7 +104,6 @@ void emit_json(const std::string& path) {
         << ", \"save_seconds\": " << r.save_seconds
         << ", \"snapshot_bytes\": " << r.snapshot_bytes
         << ", \"drops\": " << r.drops << ", \"retries\": " << r.retries
-        << ", \"duplicates\": " << r.duplicates
         << ", \"straggler_seconds\": " << r.straggler_seconds
         << ", \"wall_seconds\": " << r.wall_seconds
         << ", \"goodput_eps\": " << r.goodput_eps
@@ -179,7 +177,6 @@ Record run_faulty(const std::string& scenario, const Dataset& ds, int p,
   rec.snapshot_bytes = r.recovery.snapshot_bytes;
   rec.drops = r.faults.drops;
   rec.retries = r.faults.retries;
-  rec.duplicates = r.faults.duplicates;
   rec.straggler_seconds = r.faults.straggler_seconds;
   rec.wall_seconds = wall_seconds;
   rec.goodput_eps =
@@ -196,7 +193,7 @@ Record run_faulty(const std::string& scenario, const Dataset& ds, int p,
        std::to_string(rec.kills), std::to_string(rec.replayed_epochs),
        ms(rec.recovery_seconds),
        std::to_string(rec.drops) + "/" + std::to_string(rec.retries),
-       std::to_string(rec.duplicates), Table::num(rec.straggler_seconds, 4),
+       Table::num(rec.straggler_seconds, 4),
        Table::num(rec.goodput_eps, 4),
        !rec.bitwise ? "-" : (*rec.bitwise ? "bitwise" : "DIFF")});
   return rec;
@@ -239,8 +236,7 @@ int main(int argc, char** argv) {
   std::cout << "fault-free goodput: " << Table::num(ref_goodput, 4)
             << " epochs/s (the ceiling every faulty row is read against)\n";
   Table table({"scenario", "p", "ckpt", "kills", "replayed", "recover",
-               "drop/retry", "dups", "straggler s", "goodput e/s",
-               "trajectory"});
+               "drop/retry", "straggler s", "goodput e/s", "trajectory"});
 
   // ---- parity: the empty plan must change NOTHING. ----
   {
@@ -249,8 +245,7 @@ int main(int argc, char** argv) {
                                   /*ckpt_interval=*/0, ref, table);
     Record full = rec;
     full.ok = rec.bitwise == true && rec.kills == 0 && rec.drops == 0 &&
-              rec.retries == 0 && rec.duplicates == 0 &&
-              rec.straggler_seconds == 0;
+              rec.retries == 0 && rec.straggler_seconds == 0;
     if (!full.ok) violation("empty plan was not bitwise-silent");
     g_records.push_back(full);
   }
@@ -267,12 +262,11 @@ int main(int argc, char** argv) {
     g_records.push_back(rec);
   }
 
-  // ---- lossy: exactly-once delivery under drops + duplicates. ----
+  // ---- lossy: exactly-once delivery under drops. ----
   {
     FaultSpec spec;
     spec.seed = 11;
     spec.drop_probability = smoke ? 0.02 : 0.01;
-    spec.duplicate_probability = 0.02;
     spec.retry_timeout = 1e-3;
     spec.max_attempts = 8;
     Record rec = run_faulty("lossy", ds, p, epochs, spec, FaultRecovery::kNone,

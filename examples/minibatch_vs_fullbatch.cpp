@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   sampling.fanouts.assign(static_cast<std::size_t>(cfg.n_layers()), 10);
   SampledTrainer sampled(ds, cfg, sampling);
 
-  std::printf("epoch | full-batch loss  acc | sampled loss  acc | sampled-edges/graph-nnz\n");
+  std::printf(
+      "epoch | full-batch loss  acc | sampled loss  acc | sampled-edges/graph-nnz\n");
   for (int e = 0; e < epochs; ++e) {
     const EpochMetrics fm = full.run_epoch();
     const SampledEpochMetrics sm = sampled.run_epoch_detailed();

@@ -17,7 +17,9 @@ Matrix relu_grad(const Matrix& z) {
   Matrix d(z.n_rows(), z.n_cols());
   const real_t* src = z.data();
   real_t* dst = d.data();
-  for (std::size_t i = 0; i < z.size(); ++i) dst[i] = src[i] > 0 ? real_t{1} : real_t{0};
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    dst[i] = src[i] > 0 ? real_t{1} : real_t{0};
+  }
   return d;
 }
 

@@ -115,7 +115,7 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
   };
 
   // Pack one column chunk of the requested rows and POST its exchange
-  // within the grid column (isends deposit immediately, the irecvs stay
+  // within the grid column (sends deposit immediately, the irecvs stay
   // pending until the chunk boundary's wait()). Under a cross-layer
   // schedule every chunk gets its epoch-wide stage id and a disjoint tag
   // window, so stages neither blur in the cost accounting nor cross-match
@@ -144,8 +144,8 @@ Matrix DistSpmm15d::multiply_pipelined(const Matrix& h_local, int chunks,
   };
 
   // Double-buffered (depth-2) software pipeline: chunk k+1's exchange is
-  // posted before chunk k is even waited for, so its irecvs are pending —
-  // and the peers' eager isends in flight — through both the wait and the
+  // posted before chunk k is even waited for, so its irecvs stay pending,
+  // and the peers' sends land in them, through both the wait and the
   // local SpMM of chunk k. wait() at the chunk boundary records the
   // measured hidden/blocked split of that window.
   Matrix z(my_range().size(), f);

@@ -78,7 +78,7 @@ class DistSpmm15d {
 
   /// Chunked-pipelining multiply (sparsity-aware mode only): H is split
   /// into `chunks` column chunks (clamped to the feature width); the
-  /// grid-column exchange of chunk k+1 is POSTED (ialltoallv: eager isends
+  /// grid-column exchange of chunk k+1 is POSTED (ialltoallv: eager sends
   /// + pending irecvs) before chunk k is waited for and computed — a
   /// genuine double-buffered (depth-2) pipeline whose wait() records the
   /// measured hidden/blocked wall-clock split (see

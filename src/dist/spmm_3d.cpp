@@ -78,9 +78,8 @@ Matrix DistSpmm3d::propagate(const Matrix& h_local, double* cpu_seconds) {
   } else if (w > 0) {
     world_.send<real_t>(partner, kTransposeTag, {z.data(), z.size()},
                         "transpose");
-    h_slice = Matrix(input_range_.size(), w);
-    world_.recv_into<real_t>(partner, kTransposeTag,
-                             {h_slice.data(), h_slice.size()});
+    h_slice = Matrix(input_range_.size(), w,
+                     world_.recv<real_t>(partner, kTransposeTag));
   } else {
     h_slice = Matrix(input_range_.size(), 0);
   }

@@ -64,7 +64,8 @@ std::vector<SampledTrainer::SampledLayer> SampledTrainer::sample_batch(
     std::vector<vid_t> sources;
     std::unordered_map<vid_t, vid_t> source_index;
     auto intern = [&](vid_t v) {
-      auto [it, inserted] = source_index.try_emplace(v, static_cast<vid_t>(sources.size()));
+      auto [it, inserted] =
+          source_index.try_emplace(v, static_cast<vid_t>(sources.size()));
       if (inserted) sources.push_back(v);
       return it->second;
     };
@@ -88,7 +89,8 @@ std::vector<SampledTrainer::SampledLayer> SampledTrainer::sample_batch(
         const real_t scale = static_cast<real_t>(deg) / static_cast<real_t>(fanout);
         std::unordered_map<vid_t, bool> chosen;
         for (vid_t j = deg - fanout; j < deg; ++j) {
-          auto r = static_cast<vid_t>(rng_.next_below(static_cast<std::uint64_t>(j) + 1));
+          auto r =
+              static_cast<vid_t>(rng_.next_below(static_cast<std::uint64_t>(j) + 1));
           if (chosen.count(r)) r = j;
           chosen[r] = true;
           entries.push_back(

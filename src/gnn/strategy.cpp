@@ -138,7 +138,9 @@ std::vector<vid_t> propagate_widths(const std::vector<vid_t>& dims) {
   std::vector<vid_t> widths;
   const int layers = static_cast<int>(dims.size()) - 1;
   for (int l = 0; l < layers; ++l) widths.push_back(dims[static_cast<std::size_t>(l)]);
-  for (int l = layers - 1; l >= 1; --l) widths.push_back(dims[static_cast<std::size_t>(l)]);
+  for (int l = layers - 1; l >= 1; --l) {
+    widths.push_back(dims[static_cast<std::size_t>(l)]);
+  }
   return widths;
 }
 

@@ -147,8 +147,8 @@ struct TrainResult {
   OverlapSample alltoall_overlap;
 
   /// Injected-fault event counters recorded by the runtime (drops,
-  /// retries, suppressed duplicates, straggler seconds) —
-  /// accumulated across kill recoveries. All zero for fault-free runs.
+  /// retries, straggler seconds) — accumulated across kill recoveries.
+  /// All zero for fault-free runs.
   FaultCounters faults;
 
   /// Closed-loop recovery bookkeeping from train()'s kill-recovery loop.

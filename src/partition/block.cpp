@@ -30,7 +30,8 @@ Partition RandomPartitioner::partition(const CsrMatrix& adj, int k) const {
   std::iota(order.begin(), order.end(), 0);
   Rng rng(seed_);
   for (vid_t i = n - 1; i > 0; --i) {
-    const auto j = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(i) + 1));
+    const auto j =
+        static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(i) + 1));
     std::swap(order[static_cast<std::size_t>(i)], order[static_cast<std::size_t>(j)]);
   }
   Partition part;

@@ -39,7 +39,8 @@ class NeighborPartCounts {
         auto& c = counts_[static_cast<std::size_t>(v)];
         for (eid_t e = g.xadj[static_cast<std::size_t>(v)];
              e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-          const auto u = static_cast<std::size_t>(g.adjncy[static_cast<std::size_t>(e)]);
+          const auto u =
+              static_cast<std::size_t>(g.adjncy[static_cast<std::size_t>(e)]);
           bump(c, part[u], 1);
         }
       }
@@ -180,10 +181,9 @@ class VolumeRefiner {
     apply_deltas(v, a, b, scratch_send_, scratch_recv_);
     std::int64_t new_max = 0, new_total = 0;
     for (int p = 0; p < k_; ++p) {
-      const std::int64_t s =
-          send_vol_[static_cast<std::size_t>(p)] + scratch_send_[static_cast<std::size_t>(p)];
-      const std::int64_t r =
-          recv_vol_[static_cast<std::size_t>(p)] + scratch_recv_[static_cast<std::size_t>(p)];
+      const auto i = static_cast<std::size_t>(p);
+      const std::int64_t s = send_vol_[i] + scratch_send_[i];
+      const std::int64_t r = recv_vol_[i] + scratch_recv_[i];
       new_max = std::max({new_max, s, r});
       new_total += s;
     }
@@ -203,8 +203,9 @@ class VolumeRefiner {
     scratch_recv_.assign(static_cast<std::size_t>(k_), 0);
     apply_deltas(v, a, b, scratch_send_, scratch_recv_);
     for (int p = 0; p < k_; ++p) {
-      send_vol_[static_cast<std::size_t>(p)] += scratch_send_[static_cast<std::size_t>(p)];
-      recv_vol_[static_cast<std::size_t>(p)] += scratch_recv_[static_cast<std::size_t>(p)];
+      const auto i = static_cast<std::size_t>(p);
+      send_vol_[i] += scratch_send_[i];
+      recv_vol_[i] += scratch_recv_[i];
     }
     // Update neighbor counters (v's neighbors see v change parts).
     for (eid_t e = g_.xadj[static_cast<std::size_t>(v)];
@@ -310,7 +311,8 @@ Partition GvbPartitioner::partition(const CsrMatrix& adj, int k) const {
     // wherever (bottleneck, total) improves lexicographically.
     const int bottleneck = refiner.bottleneck_part();
     for (vid_t i = g.n - 1; i > 0; --i) {
-      const auto j = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(i) + 1));
+      const auto j =
+          static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(i) + 1));
       std::swap(order[static_cast<std::size_t>(i)], order[static_cast<std::size_t>(j)]);
     }
     for (vid_t idx = 0; idx < g.n; ++idx) {
@@ -329,8 +331,9 @@ Partition GvbPartitioner::partition(const CsrMatrix& adj, int k) const {
         // Bottleneck vertices may trade total volume for max volume; other
         // vertices must improve total without worsening the max.
         const bool improves =
-            in_bottleneck ? obj < best_obj
-                          : (obj.first <= best_obj.first && obj.second < best_obj.second);
+            in_bottleneck
+                ? obj < best_obj
+                : (obj.first <= best_obj.first && obj.second < best_obj.second);
         if (improves) {
           best_obj = obj;
           best = b;

@@ -12,12 +12,6 @@ std::uint64_t VolumeStats::send_rows(int j) const {
   return acc;
 }
 
-std::uint64_t VolumeStats::recv_rows(int i) const {
-  std::uint64_t acc = 0;
-  for (int j = 0; j < k; ++j) acc += pair_rows[static_cast<std::size_t>(j) * k + i];
-  return acc;
-}
-
 std::uint64_t VolumeStats::total_rows() const {
   std::uint64_t acc = 0;
   for (auto v : pair_rows) acc += v;

@@ -22,7 +22,6 @@ struct VolumeStats {
   eid_t edgecut = 0;  ///< number of undirected edges crossing parts
 
   std::uint64_t send_rows(int j) const;
-  std::uint64_t recv_rows(int i) const;
   std::uint64_t total_rows() const;
   std::uint64_t max_send_rows() const;
   double avg_send_rows() const;

@@ -368,7 +368,8 @@ void refine_edgecut(const PGraph& g, int k, double eps, int passes, Rng& rng,
         std::uint8_t b = 0;
         for (eid_t e = g.xadj[static_cast<std::size_t>(v)];
              e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-          const auto u = static_cast<std::size_t>(g.adjncy[static_cast<std::size_t>(e)]);
+          const auto u =
+              static_cast<std::size_t>(g.adjncy[static_cast<std::size_t>(e)]);
           if (part[u] != pv) {
             b = 1;
             break;
@@ -411,7 +412,7 @@ void refine_edgecut(const PGraph& g, int k, double eps, int passes, Rng& rng,
               static_cast<double>(pw[static_cast<std::size_t>(pu)] +
                                   g.vwgt[static_cast<std::size_t>(v)]) <= max_allowed;
           const bool keeps_src =
-              pw[static_cast<std::size_t>(pv)] - g.vwgt[static_cast<std::size_t>(v)] > 0;
+              pw[static_cast<std::size_t>(pv)] > g.vwgt[static_cast<std::size_t>(v)];
           if (gain > best_gain && fits && keeps_src) {
             best_gain = gain;
             best = pu;

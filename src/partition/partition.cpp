@@ -16,8 +16,8 @@ std::vector<vid_t> Partition::relabel_permutation() const {
   const auto sizes = part_sizes();
   std::vector<vid_t> offset(static_cast<std::size_t>(k), 0);
   for (int p = 1; p < k; ++p) {
-    offset[static_cast<std::size_t>(p)] =
-        offset[static_cast<std::size_t>(p - 1)] + sizes[static_cast<std::size_t>(p - 1)];
+    const auto prev = static_cast<std::size_t>(p - 1);
+    offset[static_cast<std::size_t>(p)] = offset[prev] + sizes[prev];
   }
   std::vector<vid_t> perm(part_of.size());
   for (std::size_t v = 0; v < part_of.size(); ++v) {

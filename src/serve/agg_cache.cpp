@@ -51,13 +51,6 @@ void AggregationCache::invalidate(vid_t node) {
   stats_.entries = index_.size();
 }
 
-void AggregationCache::clear() {
-  lru_.clear();
-  index_.clear();
-  stats_.bytes = 0;
-  stats_.entries = 0;
-}
-
 void AggregationCache::reset_counters() {
   stats_.hits = 0;
   stats_.misses = 0;

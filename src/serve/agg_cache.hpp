@@ -49,7 +49,7 @@ class AggregationCache {
   };
 
   /// Row for `node`, or nullptr on miss. A hit refreshes recency. The
-  /// pointer stays valid until the next insert/invalidate/clear.
+  /// pointer stays valid until the next insert or invalidate.
   const std::vector<real_t>* lookup(vid_t node);
 
   /// Cache `row` for `node`, evicting least-recently-used entries until it
@@ -59,10 +59,6 @@ class AggregationCache {
 
   /// Drop `node` if cached (a graph update made its row stale).
   void invalidate(vid_t node);
-
-  /// Drop everything; counters survive (they describe the workload, not
-  /// the content).
-  void clear();
 
   std::size_t capacity_bytes() const { return capacity_; }
   bool enabled() const { return capacity_ > 0; }

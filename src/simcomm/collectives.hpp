@@ -101,8 +101,8 @@ void allreduce_sum(Comm& comm, std::span<T> data,
   for (int s = 0; s < p - 1; ++s) {
     const int send_c = (me - s + p) % p;
     const int recv_c = (me - s - 1 + p) % p;
-    comm.send<T>(next, coll_detail::kAllreduceTag + s, std::span<const T>(chunk(send_c)),
-                 phase);
+    comm.send<T>(next, coll_detail::kAllreduceTag + s,
+                 std::span<const T>(chunk(send_c)), phase);
     auto incoming = comm.recv<T>(prev, coll_detail::kAllreduceTag + s);
     auto dst = chunk(recv_c);
     SAGNN_CHECK(incoming.size() == dst.size());
@@ -185,15 +185,7 @@ class PendingAlltoall {
     double max_blocked = 0;
     for (std::size_t s = 0; s < recvs_.size(); ++s) {
       WaitStats stats;
-      try {
-        recv_bufs[s] = Comm::payload_as<T>(recvs_[s].wait(&stats));
-      } catch (const AbortedError&) {
-        // World torn down mid-exchange (e.g. an injected rank kill):
-        // resolve the remaining handles too so none leaks its stream slot,
-        // then surface the abort.
-        resolve_aborted(recvs_);
-        throw;
-      }
+      recv_bufs[s] = Comm::payload_as<T>(recvs_[s].wait(&stats));
       blocked += stats.blocked;
       max_blocked = std::max(max_blocked, stats.blocked);
     }
@@ -236,17 +228,16 @@ PendingAlltoall<T> ialltoallv(Comm& comm,
   pending.recvs_.resize(static_cast<std::size_t>(p));
   // Local block: a self-copy, recorded so volume accounting can decide how
   // to treat it (CostModel ignores src==dst traffic).
-  (void)comm.isend<T>(
-      comm.rank(), tag_base,
-      std::span<const T>(send_bufs[static_cast<std::size_t>(comm.rank())]), phase);
+  comm.send<T>(comm.rank(), tag_base,
+               std::span<const T>(send_bufs[static_cast<std::size_t>(comm.rank())]),
+               phase);
   pending.recvs_[static_cast<std::size_t>(comm.rank())] =
       comm.irecv(comm.rank(), tag_base);
   for (int step = 1; step < p; ++step) {
     const int dst = (comm.rank() + step) % p;
     const int src = (comm.rank() - step + p) % p;
-    (void)comm.isend<T>(
-        dst, tag_base + step,
-        std::span<const T>(send_bufs[static_cast<std::size_t>(dst)]), phase);
+    comm.send<T>(dst, tag_base + step,
+                 std::span<const T>(send_bufs[static_cast<std::size_t>(dst)]), phase);
     pending.recvs_[static_cast<std::size_t>(src)] =
         comm.irecv(src, tag_base + step);
   }

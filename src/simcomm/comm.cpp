@@ -33,7 +33,8 @@ struct Stream {
   std::uint64_t next_arrival = 0;  ///< seq the next send takes
   std::uint64_t next_posted = 0;   ///< seq the next posted receive takes
   /// Sent, unclaimed messages. Usually zero or one: a deeper backlog only
-  /// forms when sends run ahead of their receives.
+  /// forms when sends run ahead of their receives. The message of a
+  /// receive dropped unwaited stays here until the world goes.
   std::vector<Message> arrived;
 
   std::vector<Message>::iterator find(std::uint64_t seq) {
@@ -64,12 +65,8 @@ struct alignas(64) Mailbox {
   const int rank;
   std::mutex mutex;
   std::unordered_map<StreamKey, Stream, StreamKeyHash> streams;
-  /// Slots whose receive was destroyed unwaited: the matching arrival is
-  /// dropped on sight so later slots keep matching their own messages.
-  /// Rare, so kept here rather than in every stream.
-  std::vector<std::pair<const Stream*, std::uint64_t>> abandoned;
   /// The slot the owner is blocked on (null: not blocked) and the waiter
-  /// parked on it. isend wakes that waiter only for this slot; abort()
+  /// parked on it. send wakes that waiter only for this slot; abort()
   /// wakes it whatever the slot.
   const Stream* awaited = nullptr;
   std::uint64_t awaited_seq = 0;
@@ -78,13 +75,6 @@ struct alignas(64) Mailbox {
   Stream& stream(int src, long tag) { return streams[StreamKey{src, tag}]; }
   bool awaits(const Stream& s, std::uint64_t seq) const {
     return awaited == &s && awaited_seq == seq;
-  }
-  /// Consume the abandon mark of slot `seq` of `s`, if any.
-  bool take_abandoned(const Stream& s, std::uint64_t seq) {
-    auto it = std::find(abandoned.begin(), abandoned.end(), std::make_pair(&s, seq));
-    if (it == abandoned.end()) return false;
-    abandoned.erase(it);
-    return true;
   }
 };
 
@@ -105,13 +95,12 @@ SteadyTime after_seconds(double s) {
 
 /// The lossy-link outcome of one message, settled when it is sent. Every
 /// decision is a pure hash of the message identity and the attempt number,
-/// so settling them up front drops, retransmits and duplicates exactly what
-/// a sender's retransmission timer would, whenever the receiver looks.
+/// so settling them up front drops and retransmits exactly what a
+/// sender's retransmission timer would, whenever the receiver looks.
 struct LinkOutcome {
   std::uint64_t drops = 0;    ///< transmissions the link swallowed
   std::uint64_t retries = 0;  ///< retransmissions sent
   bool lost = false;          ///< every attempt swallowed
-  bool duplicated = false;    ///< the transmission that got through arrived twice
   double delay = 0;           ///< seconds from the send to landing (or loss)
 };
 
@@ -130,7 +119,6 @@ LinkOutcome settle_link(const FaultPlan& plan, int src, int dst, long tag,
     ++out.retries;
     out.delay += plan.retry_timeout(attempt);
   }
-  out.duplicated = plan.should_duplicate(src, dst, tag, seq, attempt);
   return out;
 }
 
@@ -142,7 +130,7 @@ class Awaiting {
       : box_(box) {
     // A rank is one waiter: its fiber. Another rank's fiber can still reach
     // this mailbox through CommWorld::recv; it would be invisible to the
-    // single-slot wakeup in isend, so it is refused rather than lost.
+    // single-slot wakeup in send, so it is refused rather than lost.
     SAGNN_REQUIRE(box.awaited == nullptr,
                   "a second fiber blocked on rank " + std::to_string(box.rank) +
                       "'s mailbox (one waiter per mailbox)");
@@ -205,9 +193,8 @@ double CommWorld::now_seconds() {
       .count();
 }
 
-Request CommWorld::isend(int src, int dst, long tag,
-                         std::span<const std::byte> data,
-                         const std::string& phase) {
+void CommWorld::send(int src, int dst, long tag, std::span<const std::byte> data,
+                     const std::string& phase) {
   SAGNN_REQUIRE(src >= 0 && src < size_ && dst >= 0 && dst < size_,
                 "send rank out of range");
   const FaultPlan* plan = fault_plan_.get();
@@ -238,20 +225,14 @@ Request CommWorld::isend(int src, int dst, long tag,
     std::lock_guard lock(box.mutex);
     Stream& stream = box.stream(src, tag);
     const std::uint64_t seq = stream.next_arrival++;
-    // A slot whose receive was destroyed unwaited drops its payload, so
-    // later slots keep matching their own messages.
-    if (!box.take_abandoned(stream, seq)) {
-      if (plan != nullptr) link = settle_link(*plan, src, dst, tag, seq);
-      Message msg{seq, {}};
-      msg.lost = link.lost;
-      if (!link.lost) msg.data.assign(data.begin(), data.end());
-      // Only a retransmitted or lost message reads the clock. A duplicate
-      // needs no copy: both would land here at once, and the second is
-      // suppressed by its sequence number.
-      if (link.delay > 0) msg.lands = after_seconds(link.delay);
-      stream.arrived.push_back(std::move(msg));
-      if (box.awaits(stream, seq)) wake = box.waiter;
-    }
+    if (plan != nullptr) link = settle_link(*plan, src, dst, tag, seq);
+    Message msg{seq, {}};
+    msg.lost = link.lost;
+    if (!link.lost) msg.data.assign(data.begin(), data.end());
+    // Only a retransmitted or lost message reads the clock.
+    if (link.delay > 0) msg.lands = after_seconds(link.delay);
+    stream.arrived.push_back(std::move(msg));
+    if (box.awaits(stream, seq)) wake = box.waiter;
   }
   for (std::uint64_t i = 0; i < link.drops; ++i) traffic_.record_fault_drop();
   for (std::uint64_t i = 0; i < link.retries; ++i) {
@@ -259,9 +240,7 @@ Request CommWorld::isend(int src, int dst, long tag,
     // A retransmission puts the payload back on the wire.
     traffic_.record("retry", src, dst, data.size());
   }
-  if (link.duplicated) traffic_.record_fault_duplicate();
   if (wake != nullptr) wake->unpark();
-  return Request(this, Request::Kind::kSend, nullptr, nullptr, src, tag, 0);
 }
 
 Request CommWorld::irecv(int me, int src, long tag) {
@@ -275,12 +254,7 @@ Request CommWorld::irecv(int me, int src, long tag) {
     stream = &box.stream(src, tag);
     seq = stream->next_posted++;
   }
-  return Request(this, Request::Kind::kRecv, &box, stream, src, tag, seq);
-}
-
-void CommWorld::send(int src, int dst, long tag, std::span<const std::byte> data,
-                     const std::string& phase) {
-  (void)isend(src, dst, tag, data, phase);
+  return Request(this, &box, stream, src, tag, seq);
 }
 
 std::vector<std::byte> CommWorld::recv(int me, int src, long tag) {
@@ -328,17 +302,6 @@ std::vector<std::byte> CommWorld::wait_recv(std::unique_lock<std::mutex>& lock,
   }
 }
 
-void CommWorld::abandon_recv(Mailbox& box, Stream& stream, std::uint64_t seq) {
-  std::lock_guard lock(box.mutex);
-  auto it = stream.find(seq);
-  if (it != stream.arrived.end()) {
-    stream.arrived.erase(it);
-  } else {
-    // Not sent yet: mark the slot so the future arrival is dropped on sight.
-    box.abandoned.emplace_back(&stream, seq);
-  }
-}
-
 std::vector<std::byte> Request::wait(WaitStats* stats) {
   if (state_ == State::kDone) {
     throw RequestError("wait() called twice on the same request");
@@ -346,57 +309,13 @@ std::vector<std::byte> Request::wait(WaitStats* stats) {
   if (state_ != State::kPending) {
     throw RequestError("wait() on an empty (default or moved-from) request");
   }
-  if (kind_ == Kind::kSend) {
-    state_ = State::kDone;
-    if (stats != nullptr) *stats = {};
-    return {};
-  }
-  // Off a rank fiber this throws and the handle stays pending, so its
-  // destructor still releases the slot.
+  // Off a rank fiber this throws and the handle stays pending.
   Waiter& self = current_waiter();
-  // Consumed either way: an AbortedError escape must not leave a handle the
-  // destructor would try to abandon against a torn-down stream.
+  // Consumed even if the wait throws (abort, lost message): its slot is
+  // spent either way.
   state_ = State::kDone;
   std::unique_lock lock(box_->mutex);
   return world_->wait_recv(lock, self, *box_, *stream_, src_, tag_, seq_, stats);
-}
-
-void Request::release() {
-  if (state_ == State::kPending && kind_ == Kind::kRecv) {
-    world_->abandon_recv(*box_, *stream_, seq_);
-  }
-  world_ = nullptr;
-  state_ = State::kEmpty;
-}
-
-void resolve_aborted(std::span<Request> requests) {
-  for (Request& r : requests) {
-    if (!r.valid()) continue;
-    try {
-      (void)r.wait();  // immediate: waits on an aborted world never block
-    } catch (const AbortedError&) {
-    }
-  }
-}
-
-std::vector<std::vector<std::byte>> waitall(std::span<Request> requests,
-                                            WaitStats* accumulated) {
-  std::vector<std::vector<std::byte>> payloads;
-  payloads.reserve(requests.size());
-  for (Request& r : requests) {
-    WaitStats stats;
-    try {
-      payloads.push_back(r.wait(&stats));
-    } catch (const AbortedError&) {
-      // The world died between two completions. Resolve every remaining
-      // handle the same way so none of them leaks its stream slot through
-      // the destructor's abandon path, then surface the abort.
-      resolve_aborted(requests);
-      throw;
-    }
-    if (accumulated != nullptr) accumulated->blocked += stats.blocked;
-  }
-  return payloads;
 }
 
 void CommWorld::abort() {

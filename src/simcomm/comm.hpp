@@ -2,18 +2,17 @@
 // The simulated message-passing runtime.
 //
 // CommWorld owns one mailbox per rank; a Comm is a view of a subset of
-// ranks (like an MPI communicator / NCCL clique). The runtime is
-// request-based: isend/irecv return Request handles and wait()/waitall()
-// complete them, exactly the MPI_Isend/Irecv/Wait idiom the pipelined
-// SpMM schedules are written in. Blocking send is isend without the
-// handle; blocking recv reserves its slot and calls the same wait_recv as
-// Request::wait(), so there is a single matching path.
+// ranks (like an MPI communicator / NCCL clique). A send is a plain call:
+// the payload is copied into the receiver's mailbox before send() returns.
+// A receive is either blocking (recv) or posted (irecv returns a Request
+// whose wait() claims the message later, the MPI_Irecv/Wait idiom the
+// pipelined SpMM schedules are written in). Both claim their slot through
+// the same wait_recv, so there is a single matching path.
 //
 // Semantics:
-//   * Sends are eager: isend deep-copies the payload into the receiver's
-//     mailbox immediately and its Request is complete on return. Progress
-//     therefore never depends on the sender again — it is driven entirely
-//     by the receiver's mailbox.
+//   * Sends are eager: send() deep-copies the payload into the receiver's
+//     mailbox immediately, so progress never depends on the sender again —
+//     it is driven entirely by the receiver's mailbox.
 //   * Matching is deterministic per (source, tag): the k-th POSTED receive
 //     for a (src, tag) pair completes with the k-th SENT message of that
 //     pair, regardless of the order the requests are waited in. Posting
@@ -21,8 +20,10 @@
 //     chunked pipelines bitwise reproducible.
 //   * Abort-safe: when a rank fails, Cluster calls abort() and every
 //     pending wait (current or future) resolves to AbortedError instead of
-//     deadlocking. Destroying an unwaited receive releases its slot in the
-//     (src, tag) stream without corrupting later matches (no leak).
+//     deadlocking. A receive destroyed unwaited keeps its reserved slot,
+//     so later receives of its stream still get their own messages; its
+//     message, if one comes, is freed with the world. In the library only
+//     an aborting world drops a posted receive.
 //   * wait() on an already-completed or empty handle is a typed
 //     RequestError, never undefined behavior.
 //   * Blocking receives run on rank fibers (simcomm/fiber.hpp). On any
@@ -32,22 +33,22 @@
 //     blocks on its mailbox. Another rank's fiber that tries to block
 //     there through CommWorld::recv while the owner is blocked gets a
 //     typed Error.
-//   * Lossy links (fault.hpp) are settled when a message is sent: isend
-//     decides every attempt's drop, retransmission and duplicate at once
-//     and stores the message as landed, landing later (retransmitted) or
-//     lost. A receive claims a landed message, throws FaultError for a
-//     lost one and otherwise parks until the message lands.
+//   * Lossy links (fault.hpp) are settled when a message is sent: send()
+//     decides every attempt's drop and retransmission at once and stores
+//     the message as landed, landing later (retransmitted) or lost. A
+//     receive claims a landed message, throws FaultError for a lost one
+//     and otherwise parks until the message lands.
 //
 // Cost per message: each mailbox keeps one stream per (src, tag) — next
-// arrival seq, next posted seq, sent-but-unclaimed messages — so isend,
+// arrival seq, next posted seq, sent-but-unclaimed messages — so send,
 // irecv and recv each cost one hash lookup, and a Request keeps its stream
-// for wait() and abandon. A blocked receiver parks its fiber (a user-space
-// switch, no kernel sleep) and records the one slot it awaits and itself
-// as the waiter; isend wakes that waiter only when it deposits that slot,
-// after releasing the mailbox lock. The runtime reads the clock for a
-// retransmitted or lost message (isend stamps when it lands, the receiver
+// for wait(). A blocked receiver parks its fiber (a user-space switch, no
+// kernel sleep) and records the one slot it awaits and itself as the
+// waiter; send wakes that waiter only when it deposits that slot, after
+// releasing the mailbox lock. The runtime reads the clock for a
+// retransmitted or lost message (send stamps when it lands, the receiver
 // compares) and inside Request::wait(&stats), on entry and on completion,
-// to measure WaitStats::blocked. Without a fault plan, irecv, isend and
+// to measure WaitStats::blocked. Without a fault plan, irecv, send and
 // blocking recv never touch it.
 //
 // Tag space: user tags must be < kUserTagLimit. Internal operations
@@ -63,6 +64,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -102,77 +104,61 @@ struct WaitStats {
 
 class CommWorld;
 
-/// Handle for one in-flight nonblocking operation. Move-only; exactly one
-/// wait() per handle. Destroying a pending receive abandons its slot in
-/// the (src, tag) stream safely (the matching message, arrived or future,
-/// is dropped; later posted receives keep their positions).
+/// A posted receive: one reserved slot of a (src, tag) stream. Move-only
+/// (moving empties the source); exactly one wait() per handle, which needs
+/// the world alive. The destructor touches nothing: a receive destroyed
+/// unwaited keeps its slot, and an unwaited handle may outlive its world.
 class Request {
  public:
   Request() = default;
-  Request(Request&& other) noexcept { move_from(other); }
+  Request(Request&& other) noexcept { *this = std::move(other); }
   Request& operator=(Request&& other) noexcept {
-    if (this != &other) {
-      release();
-      move_from(other);
-    }
-    return *this;
-  }
-  Request(const Request&) = delete;
-  Request& operator=(const Request&) = delete;
-  ~Request() { release(); }
-
-  /// True if this handle holds a not-yet-waited operation.
-  bool valid() const { return state_ == State::kPending; }
-
-  /// Complete the operation. Receives return the payload bytes (and block
-  /// until the matching message lands); sends return an empty vector
-  /// immediately (eager runtime). Throws AbortedError if the world aborts
-  /// while pending, FaultError if a lossy link lost the message,
-  /// RequestError on double-wait or an empty handle, and Error for a
-  /// receive waited off a rank fiber (the handle then stays pending). When
-  /// `stats` is non-null it receives the blocked time of this wait.
-  std::vector<std::byte> wait(WaitStats* stats = nullptr);
-
- private:
-  friend class CommWorld;
-  enum class State : std::uint8_t { kEmpty, kPending, kDone };
-  enum class Kind : std::uint8_t { kSend, kRecv };
-
-  Request(CommWorld* world, Kind kind, comm_detail::Mailbox* box,
-          comm_detail::Stream* stream, int src, long tag, std::uint64_t seq)
-      : world_(world),
-        state_(State::kPending),
-        kind_(kind),
-        box_(box),
-        stream_(stream),
-        src_(src),
-        tag_(tag),
-        seq_(seq) {}
-
-  void move_from(Request& other) {
     world_ = other.world_;
-    state_ = other.state_;
-    kind_ = other.kind_;
     box_ = other.box_;
     stream_ = other.stream_;
     src_ = other.src_;
     tag_ = other.tag_;
     seq_ = other.seq_;
-    other.world_ = nullptr;
-    other.state_ = State::kEmpty;
+    state_ = std::exchange(other.state_, State::kEmpty);
+    return *this;
   }
-  void release();
+  Request(const Request&) = delete;
+  Request& operator=(const Request&) = delete;
+
+  /// True if this handle holds a not-yet-waited receive.
+  bool valid() const { return state_ == State::kPending; }
+
+  /// Complete the receive: returns the payload bytes, blocking until the
+  /// matching message lands. Throws AbortedError if the world aborts while
+  /// pending, FaultError if a lossy link lost the message, RequestError on
+  /// double-wait or an empty handle, and Error off a rank fiber (the handle
+  /// then stays pending). When `stats` is non-null it receives the blocked
+  /// time of this wait.
+  std::vector<std::byte> wait(WaitStats* stats = nullptr);
+
+ private:
+  friend class CommWorld;
+  enum class State : std::uint8_t { kEmpty, kPending, kDone };
+
+  Request(CommWorld* world, comm_detail::Mailbox* box, comm_detail::Stream* stream,
+          int src, long tag, std::uint64_t seq)
+      : world_(world),
+        box_(box),
+        stream_(stream),
+        src_(src),
+        tag_(tag),
+        seq_(seq),
+        state_(State::kPending) {}
 
   CommWorld* world_ = nullptr;
-  State state_ = State::kEmpty;
-  Kind kind_ = Kind::kSend;
-  /// Receives keep their mailbox and stream so wait() skips the lookup.
   comm_detail::Mailbox* box_ = nullptr;
   comm_detail::Stream* stream_ = nullptr;
   int src_ = -1;
   long tag_ = 0;
   std::uint64_t seq_ = 0;
+  State state_ = State::kEmpty;
 };
+static_assert(std::is_trivially_destructible_v<Request>);
 
 class CommWorld {
  public:
@@ -183,19 +169,14 @@ class CommWorld {
   TrafficRecorder& traffic() { return traffic_; }
   const TrafficRecorder& traffic() const { return traffic_; }
 
-  /// Nonblocking matched send: copies `data` into dst's mailbox, records
-  /// the bytes under `phase`, and returns an (already complete — sends are
-  /// eager) Request.
-  Request isend(int src, int dst, long tag, std::span<const std::byte> data,
-                const std::string& phase);
-
-  /// Nonblocking matched receive: reserves the next slot of the (src, tag)
-  /// stream at post time and returns the pending Request.
-  Request irecv(int me, int src, long tag);
-
-  /// Blocking matched send — isend without keeping the handle.
+  /// Matched send: copies `data` into dst's mailbox and records the bytes
+  /// under `phase`. Eager: the message is deposited when this returns.
   void send(int src, int dst, long tag, std::span<const std::byte> data,
             const std::string& phase);
+
+  /// Posted receive: reserves the next slot of the (src, tag) stream at
+  /// post time and returns the pending Request.
+  Request irecv(int me, int src, long tag);
 
   /// Blocking receive of the message with matching (src, tag): reserves
   /// the next slot of the stream like irecv() and claims it through the
@@ -244,9 +225,6 @@ class CommWorld {
                                    Waiter& self, comm_detail::Mailbox& box,
                                    comm_detail::Stream& stream, int src, long tag,
                                    std::uint64_t seq, WaitStats* stats);
-  /// Request destructor path: drop the slot without corrupting the stream.
-  void abandon_recv(comm_detail::Mailbox& box, comm_detail::Stream& stream,
-                    std::uint64_t seq);
 
   int size_;
   TrafficRecorder traffic_;
@@ -259,21 +237,6 @@ class CommWorld {
   /// after_sends thresholds count these).
   std::unique_ptr<std::atomic<std::uint64_t>[]> epoch_sends_;
 };
-
-/// Wait on every request in order; returns the payloads (empty vectors for
-/// sends). When `accumulated` is non-null the per-request blocked times
-/// are summed into it. If the world aborts mid-batch, every
-/// remaining handle is resolved to AbortedError too (no stream slot is
-/// left to be abandoned against the torn-down world) and the AbortedError
-/// is rethrown.
-std::vector<std::vector<std::byte>> waitall(std::span<Request> requests,
-                                            WaitStats* accumulated = nullptr);
-
-/// Consume every still-pending request of an ABORTED world, swallowing the
-/// AbortedError each wait raises (immediate — aborted waits never block).
-/// Batch primitives call this before surfacing the abort so no destructor
-/// abandons a slot against the torn-down stream.
-void resolve_aborted(std::span<Request> requests);
 
 /// A communicator: an ordered subset of world ranks plus this rank's
 /// position in it. Cheap to copy. All collective operations live in
@@ -297,17 +260,8 @@ class Comm {
                  std::as_bytes(data), phase);
   }
 
-  /// Typed nonblocking send (eager: the Request is complete on return).
-  template <typename T>
-  Request isend(int dst, long tag, std::span<const T> data,
-                const std::string& phase) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return world_->isend(world_rank(rank_), world_rank(dst), stamp(tag),
-                         std::as_bytes(data), phase);
-  }
-
-  /// Nonblocking receive; the payload comes back from Request::wait() as
-  /// raw bytes — convert with payload_as<T>().
+  /// Posted receive; the payload comes back from Request::wait() as raw
+  /// bytes — convert with payload_as<T>().
   Request irecv(int src, long tag) {
     return world_->irecv(world_rank(rank_), world_rank(src), stamp(tag));
   }
@@ -328,14 +282,6 @@ class Comm {
   template <typename T>
   std::vector<T> recv(int src, long tag) {
     return payload_as<T>(world_->recv(world_rank(rank_), world_rank(src), stamp(tag)));
-  }
-
-  /// Receive into a preallocated span (size must match exactly).
-  template <typename T>
-  void recv_into(int src, long tag, std::span<T> out) {
-    auto raw = world_->recv(world_rank(rank_), world_rank(src), stamp(tag));
-    SAGNN_REQUIRE(raw.size() == out.size_bytes(), "recv_into size mismatch");
-    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
   }
 
   /// Dissemination barrier over this communicator. All members must call it

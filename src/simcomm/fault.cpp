@@ -33,9 +33,6 @@ double event_uniform(std::uint64_t seed, std::uint64_t kind, int src, int dst,
 FaultPlan::FaultPlan(FaultSpec spec) : spec_(std::move(spec)) {
   SAGNN_REQUIRE(spec_.drop_probability >= 0 && spec_.drop_probability <= 1,
                 "drop_probability must be in [0, 1]");
-  SAGNN_REQUIRE(
-      spec_.duplicate_probability >= 0 && spec_.duplicate_probability <= 1,
-      "duplicate_probability must be in [0, 1]");
   for (const auto& [link, prob] : spec_.link_drop) {
     SAGNN_REQUIRE(prob >= 0 && prob <= 1,
                   "link_drop probability must be in [0, 1]");
@@ -65,7 +62,7 @@ FaultPlan::FaultPlan(FaultSpec spec) : spec_(std::move(spec)) {
 
 bool FaultPlan::empty() const {
   if (!spec_.kills.empty()) return false;
-  if (spec_.drop_probability > 0 || spec_.duplicate_probability > 0) return false;
+  if (spec_.drop_probability > 0) return false;
   for (const auto& [link, prob] : spec_.link_drop) {
     if (prob > 0) return false;
   }
@@ -95,15 +92,6 @@ bool FaultPlan::should_drop(int src, int dst, long tag, std::uint64_t seq,
   if (prob <= 0) return false;
   if (prob >= 1) return true;
   return event_uniform(spec_.seed, 0xD0, src, dst, tag, seq, attempt) < prob;
-}
-
-bool FaultPlan::should_duplicate(int src, int dst, long tag, std::uint64_t seq,
-                                 std::uint64_t attempt) const {
-  if (src == dst) return false;
-  const double prob = spec_.duplicate_probability;
-  if (prob <= 0) return false;
-  if (prob >= 1) return true;
-  return event_uniform(spec_.seed, 0xD1, src, dst, tag, seq, attempt) < prob;
 }
 
 double FaultPlan::send_delay(int rank) const {

@@ -3,7 +3,7 @@
 //
 // A FaultPlan is built from a FaultSpec and installed on a Cluster (which
 // forwards it to its CommWorld). It drives three failure modes through the
-// request runtime — per-rank straggler delays, per-link message loss with
+// message runtime — per-rank straggler delays, per-link message loss with
 // bounded retransmission and exponential backoff, and scheduled rank
 // kills — while preserving the two properties the rest of the system is
 // built on:
@@ -12,13 +12,13 @@
 //     an installed-but-EMPTY plan takes none of them, so a fault-free plan
 //     is bitwise identical to no plan at all (the registry serial-parity
 //     sweep is the gate).
-//   * Determinism: each drop/duplicate decision is a pure hash of
+//   * Determinism: each drop decision is a pure hash of
 //     (seed, src, dst, tag, seq, attempt) — never a shared RNG stream — so
 //     outcomes are independent of thread interleaving and identical across
 //     replays. Because every outcome is known when a message is sent,
-//     CommWorld::isend settles it there: how many attempts the link
-//     swallows, when the retransmission that gets through lands (or when
-//     the message is given up as lost), and whether it is duplicated.
+//     CommWorld::send settles it there: how many attempts the link
+//     swallows, and when the retransmission that gets through lands (or
+//     when the message is given up as lost).
 //     Payload math is never perturbed: a survivable plan yields the same
 //     loss trajectory as a fault-free run (modulo elastic restarts, which
 //     legitimately re-partition).
@@ -88,7 +88,7 @@ struct KillSpec {
 /// Declarative description of the faults to inject. Every field defaults
 /// to "no fault"; a default-constructed spec is an empty plan.
 struct FaultSpec {
-  /// Seed of the per-event decision hash (drops, duplicates).
+  /// Seed of the per-event decision hash (drops).
   std::uint64_t seed = 1;
 
   /// Per-rank slowdown factors (>= 1); absent ranks run at full speed. A
@@ -103,10 +103,6 @@ struct FaultSpec {
   /// global probability for specific (src, dst) pairs.
   double drop_probability = 0;
   std::map<std::pair<int, int>, double> link_drop;
-
-  /// Probability that a delivered message arrives twice (the redundant
-  /// copy must be suppressed by its sequence number).
-  double duplicate_probability = 0;
 
   /// Retransmission: attempt a + 1 goes out retry_timeout(a) =
   /// retry_timeout * backoff^(a-1) seconds (capped) after attempt a, from
@@ -147,8 +143,6 @@ class FaultPlan {
   /// the attempt number (attempt 1 = the original transmission).
   bool should_drop(int src, int dst, long tag, std::uint64_t seq,
                    std::uint64_t attempt) const;
-  bool should_duplicate(int src, int dst, long tag, std::uint64_t seq,
-                        std::uint64_t attempt) const;
 
   /// Injected delay before each cross-rank send of `rank` (0 = none).
   double send_delay(int rank) const;

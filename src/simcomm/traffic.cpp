@@ -191,11 +191,6 @@ void TrafficRecorder::record_fault_retry() {
   ++faults_.retries;
 }
 
-void TrafficRecorder::record_fault_duplicate() {
-  std::lock_guard lock(mutex_);
-  ++faults_.duplicates;
-}
-
 void TrafficRecorder::record_straggler(double seconds) {
   std::lock_guard lock(mutex_);
   faults_.straggler_seconds += seconds;

@@ -83,16 +83,12 @@ struct OverlapSample {
 struct FaultCounters {
   std::uint64_t drops = 0;       ///< send attempts a lossy link swallowed
   std::uint64_t retries = 0;     ///< retransmissions of swallowed attempts
-  std::uint64_t duplicates = 0;  ///< redundant deliveries suppressed by seq
   double straggler_seconds = 0;  ///< injected send-side straggler delay
 
-  bool any() const {
-    return drops > 0 || retries > 0 || duplicates > 0 || straggler_seconds > 0;
-  }
+  bool any() const { return drops > 0 || retries > 0 || straggler_seconds > 0; }
   FaultCounters& operator+=(const FaultCounters& o) {
     drops += o.drops;
     retries += o.retries;
-    duplicates += o.duplicates;
     straggler_seconds += o.straggler_seconds;
     return *this;
   }
@@ -141,7 +137,6 @@ class TrafficRecorder {
   /// FaultPlan is installed and actually injecting.
   void record_fault_drop();
   void record_fault_retry();
-  void record_fault_duplicate();
   void record_straggler(double seconds);
   FaultCounters fault_counters() const;
 

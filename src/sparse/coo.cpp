@@ -55,11 +55,11 @@ bool CooMatrix::is_symmetric() const {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
   auto find = [&](vid_t r, vid_t c) -> const CooEntry* {
-    auto it = std::lower_bound(sorted.begin(), sorted.end(), std::pair{r, c},
-                               [](const CooEntry& e, const std::pair<vid_t, vid_t>& key) {
-                                 return e.row != key.first ? e.row < key.first
-                                                           : e.col < key.second;
-                               });
+    auto it = std::lower_bound(
+        sorted.begin(), sorted.end(), std::pair{r, c},
+        [](const CooEntry& e, const std::pair<vid_t, vid_t>& key) {
+          return e.row != key.first ? e.row < key.first : e.col < key.second;
+        });
     if (it == sorted.end() || it->row != r || it->col != c) return nullptr;
     return &*it;
   };

@@ -24,7 +24,8 @@ bool is_permutation(std::span<const vid_t> perm) {
 }
 
 CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const vid_t> perm) {
-  SAGNN_REQUIRE(a.n_rows() == a.n_cols(), "symmetric permutation requires square matrix");
+  SAGNN_REQUIRE(a.n_rows() == a.n_cols(),
+                "symmetric permutation requires square matrix");
   SAGNN_REQUIRE(perm.size() == static_cast<std::size_t>(a.n_rows()),
                 "permutation size mismatch");
   const vid_t n = a.n_rows();
@@ -63,7 +64,8 @@ Matrix permute_rows(const Matrix& a, std::span<const vid_t> perm) {
                 "permutation size mismatch");
   Matrix out(a.n_rows(), a.n_cols());
   for (vid_t r = 0; r < a.n_rows(); ++r) {
-    std::copy(a.row(r), a.row(r) + a.n_cols(), out.row(perm[static_cast<std::size_t>(r)]));
+    std::copy(a.row(r), a.row(r) + a.n_cols(),
+              out.row(perm[static_cast<std::size_t>(r)]));
   }
   return out;
 }

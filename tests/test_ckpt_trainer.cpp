@@ -462,7 +462,8 @@ TEST(CkptTrainer, StrategyMismatchIsTypedErrorNamingBoth) {
 
 TEST(CkptTrainer, DatasetMismatchIsTypedError) {
   const Dataset amazon = make_amazon_sim(DatasetScale::kTiny);
-  auto first = TrainerBuilder(amazon).strategy("serial").gcn(ckpt_config(amazon, 2)).build();
+  auto first =
+      TrainerBuilder(amazon).strategy("serial").gcn(ckpt_config(amazon, 2)).build();
   (void)first->run_epoch();
   std::stringstream snapshot;
   first->save(snapshot);

@@ -22,7 +22,9 @@ TEST_P(CollectivesP, BcastAllRoots) {
         std::iota(data.begin(), data.end(), root * 1000);
       }
       bcast<int>(comm, root, data);
-      for (int i = 0; i < 17; ++i) EXPECT_EQ(data[static_cast<std::size_t>(i)], root * 1000 + i);
+      for (int i = 0; i < 17; ++i) {
+        EXPECT_EQ(data[static_cast<std::size_t>(i)], root * 1000 + i);
+      }
     }
   });
 }

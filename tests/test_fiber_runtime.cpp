@@ -159,9 +159,9 @@ TEST(FiberRuntime, KillReachesParkedAndTimedParkedRanks) {
 TEST(FiberRuntime, BlockingReceiveOffAFiberIsATypedError) {
   // The watchdog's helper thread is a plain thread: it has nothing to park,
   // so its blocking receives on rank 1's mailbox throw at once. recv()
-  // throws before it takes a slot, and a refused Request stays pending,
-  // so its destructor releases the slot. Rank 1's fiber then receives on
-  // both streams as if the outsider had never been there.
+  // throws before it takes a slot, so rank 1 gets the first message of
+  // that stream. A refused Request stays pending and, destroyed, keeps its
+  // slot, so rank 1 gets the second message of the other stream.
   with_watchdog([] {
     Cluster cluster(2);
     CommWorld& world = cluster.world();
@@ -181,7 +181,7 @@ TEST(FiberRuntime, BlockingReceiveOffAFiberIsATypedError) {
     cluster.run([&](Comm& comm) {
       if (comm.rank() == 0) {
         comm.send<int>(1, 42, std::vector<int>{7, 8}, "p2p");
-        comm.send<int>(1, 43, std::vector<int>{1}, "p2p");  // the abandoned slot
+        comm.send<int>(1, 43, std::vector<int>{1}, "p2p");  // the dropped slot
         comm.send<int>(1, 43, std::vector<int>{2}, "p2p");
         return;
       }

@@ -16,7 +16,8 @@ std::vector<vid_t> random_perm(vid_t n, Rng& rng) {
   std::vector<vid_t> perm(static_cast<std::size_t>(n));
   std::iota(perm.begin(), perm.end(), 0);
   for (vid_t i = n - 1; i > 0; --i) {
-    const auto j = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(i) + 1));
+    const auto j =
+        static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(i) + 1));
     std::swap(perm[static_cast<std::size_t>(i)], perm[static_cast<std::size_t>(j)]);
   }
   return perm;

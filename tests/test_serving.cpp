@@ -402,7 +402,8 @@ TEST(ServingEngine, BatchEqualsPerNodeAnswers) {
   GraphMutator g(ds.adjacency);
   InferenceEngine engine(model, ds.features, g, 1u << 20);
 
-  const std::vector<vid_t> nodes = {0, 5, 3, 5, static_cast<vid_t>(ds.n_vertices() - 1)};
+  const std::vector<vid_t> nodes = {0, 5, 3, 5,
+                                    static_cast<vid_t>(ds.n_vertices() - 1)};
   const Matrix batch = engine.infer_batch(nodes);
   ASSERT_EQ(batch.n_rows(), static_cast<vid_t>(nodes.size()));
   for (std::size_t i = 0; i < nodes.size(); ++i) {
