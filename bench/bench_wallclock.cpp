@@ -23,8 +23,8 @@
 // Violations exit nonzero so CI can gate on this binary. Results are also
 // appended to BENCH_wallclock.json (records: bench, dataset, partitioner,
 // width, threads, seconds, speedup, gbps; width is 0 for partition rows)
-// which CI uploads as a workflow artifact; bench_schema_check validates
-// the record shape.
+// which CI uploads as a workflow artifact; scripts/check_bench_json.py
+// validates the record shape.
 //
 // GB/s is algorithmic bytes / seconds: nnz*8 + nnz*f*4 + 2*n*f*4 per SpMM
 // sweep (indices+values once, one gathered H row per nonzero, Z touched

@@ -3,7 +3,8 @@
 // name fixes (c for the 1D and 2D names, the chunk count for the bulk
 // names) must not move its trajectory or its traffic by a single bit, a
 // 1D/2D name must equal its family at c = 1 / d = 1, and the 2D names keep
-// their own geometry message.
+// their own geometry message. Every name's traffic and modeled comm are
+// also bitwise the same on one host thread and on four.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -78,6 +79,48 @@ TEST(StrategyFamilies, OneAndTwoDAreTheirFamilyAtWidthOne) {
         std::pair{"1d-sparse", "1.5d-sparse"}, std::pair{"2d-sparse", "3d"}}) {
     SCOPED_TRACE(fixed);
     expect_same_run(run(ds, fixed, 1, 4), run(ds, family, 1, 4));
+  }
+}
+
+TEST(StrategyFamilies, ModeledCommIsThreadCountInvariant) {
+  // bench_paper's committed baseline relies on this: traffic, the modeled
+  // comm priced from it, the index exchange and the volume model are a
+  // function of graph, partition and config; only compute is measured.
+  const Dataset ds = make_amazon_sim(DatasetScale::kTiny);
+  const GcnConfig cfg = GcnConfig::paper_3layer(ds.n_features(), ds.n_classes, 2);
+  for (const std::string& name : strategy_registry().names()) {
+    SCOPED_TRACE(name);
+    const int c = name.rfind("1.5d", 0) == 0 || name == "3d" ? 2 : 1;
+    const int p = name == "3d" ? 8 : 4;
+    const auto run_at = [&](int threads) {
+      auto trainer = TrainerBuilder(ds)
+                         .strategy(name)
+                         .ranks(p, c)
+                         .partitioner("gvb")
+                         .threads(threads)
+                         .gcn(cfg)
+                         .build();
+      trainer->train();
+      return trainer->result();
+    };
+    const TrainResult one = run_at(1);
+    const TrainResult four = run_at(4);
+    expect_same_run(one, four);
+    const EpochCost& a = one.modeled_epoch;
+    const EpochCost& b = four.modeled_epoch;
+    EXPECT_EQ(a.alltoall, b.alltoall);
+    EXPECT_EQ(a.bcast, b.bcast);
+    EXPECT_EQ(a.allreduce, b.allreduce);
+    EXPECT_EQ(a.other, b.other);
+    EXPECT_EQ(a.alltoall_latency, b.alltoall_latency);
+    EXPECT_EQ(a.bcast_latency, b.bcast_latency);
+    EXPECT_EQ(a.allreduce_latency, b.allreduce_latency);
+    EXPECT_EQ(a.other_latency, b.other_latency);
+    EXPECT_EQ(a.alltoall_messages, b.alltoall_messages);
+    EXPECT_EQ(a.alltoall_bytes, b.alltoall_bytes);
+    EXPECT_EQ(one.volume_model.k, four.volume_model.k);
+    EXPECT_EQ(one.volume_model.pair_rows, four.volume_model.pair_rows);
+    EXPECT_EQ(one.volume_model.edgecut, four.volume_model.edgecut);
   }
 }
 
